@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +45,18 @@ class RunConfig:
     phases: tuple[float, ...] | None = None
     output_format: str = "text"
     seed: int | None = None
+
+
+class UsageError(ValueError):
+    """The command line or its environment does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors keep the exit-2 JSON contract."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail_validation(UsageError(f"{self.prog}: {message}"))
+        self.exit(2)
 
 
 def _fmt(x: float) -> str:
@@ -124,6 +136,8 @@ def cmd_compare(
     try:
         if not caps:
             raise DomainError("need at least one cap pair")
+        if any(n < 1 or m < 1 for n, m in caps):
+            raise DomainError(f"round caps must be positive: {list(caps)}")
         grid = default_alpha_grid(points) if alpha_grid is None else tuple(alpha_grid)
     except DomainError as exc:
         return _fail_validation(exc)
@@ -167,14 +181,14 @@ def cmd_verify(
         lo, hi = n_range
         if not (2 <= lo <= hi):
             raise BadCoefficients(f"bad party-count range {n_range}")
+        if seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {seed}")
         forced = WCoefficients.from_squared(coeffs2) if coeffs2 is not None else None
     except ValueError as exc:
         return _fail_validation(exc)
 
     rng = np.random.default_rng(seed)
-    max_err = 0.0
-    min_fid = 1.0
-    failures = []
+    errors, fids, failures = [], [], []
     for _ in range(trials):
         if forced is not None:
             coeffs = forced
@@ -184,9 +198,10 @@ def cmd_verify(
         for name, driver in _DRIVERS.items():
             report = driver(coeffs)
             err = abs(report.total_prob - analytic)
-            max_err = max(max_err, err)
-            min_fid = min(min_fid, report.fidelity_to_target)
-            if err >= MATCH_TOL or report.fidelity_to_target <= 1.0 - FIDELITY_TOL:
+            errors.append(err)
+            fids.append(report.fidelity_to_target)
+            # Written so that a NaN error or fidelity counts as a failure.
+            if not (err < MATCH_TOL and report.fidelity_to_target > 1.0 - FIDELITY_TOL):
                 failures.append({
                     "protocol": name,
                     "coeffs2": [abs(a) ** 2 for a in coeffs.amps],
@@ -198,8 +213,9 @@ def cmd_verify(
         "trials": trials,
         "n_range": list(n_range),
         "seed": seed,
-        "max_abs_error": max_err,
-        "min_fidelity": min_fid,
+        # np.max / np.min propagate NaN where the builtins would drop it.
+        "max_abs_error": float(np.max(errors)),
+        "min_fidelity": float(np.min(fids)),
         "failures": failures,
     }
     json.dump(summary, out, indent=2)
@@ -208,7 +224,7 @@ def cmd_verify(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wecp",
         description="Concentration circuits for partially entangled W states",
     )
@@ -269,7 +285,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 else None
     except (ValueError, BadCoefficients) as exc:
         return _fail_validation(exc)
-    seed = args.seed if args.seed is not None else int(os.environ.get("ECP_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("ECP_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            return _fail_validation(UsageError(f"ECP_SEED must be an integer, got {raw!r}"))
     return cmd_verify(args.trials, (lo, hi), seed, coeffs2)
 
 

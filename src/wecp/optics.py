@@ -133,20 +133,25 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     if w.in_b is not None and w.in_b not in state.modes:
         raise UnknownMode(f"PBS input mode {w.in_b!r} does not exist")
 
-    def route(mode: ModeLabel, pol: Polarization) -> ModeLabel:
-        if mode == w.in_a:
-            return w.out_c if pol is Polarization.H else w.out_d
-        if mode == w.in_b:
-            return w.out_d if pol is Polarization.H else w.out_c
-        return mode
+    # (input mode, output for H, output for V); only these photons move.
+    ports = [(w.in_a, w.out_c, w.out_d)]
+    if w.in_b is not None:
+        ports.append((w.in_b, w.out_d, w.out_c))
 
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state.terms.items():
-        routed = [(route(m, pol), pol) for m, pol in ket.photons]
-        targets = [m for m, _ in routed]
-        if len(set(targets)) != len(targets):
+        moves = []
+        for src, out_h, out_v in ports:
+            pol = ket.polarization_at(src)
+            if pol is not None:
+                moves.append((src, out_h if pol is Polarization.H else out_v))
+        # Outputs are never input labels, so an occupied output is a bystander.
+        targets = [dst for _, dst in moves]
+        if len(set(targets)) != len(targets) or any(map(ket.has, targets)):
             raise ModeCollision(f"PBS routes two photons of {ket} into one mode")
-        new_ket = Ket(tuple(routed))
+        new_ket = ket
+        for src, dst in moves:
+            new_ket = new_ket.move(src, dst)
         new_terms[new_ket] = new_terms.get(new_ket, 0j) + amp
 
     modes = set(state.modes) | {w.out_c, w.out_d}

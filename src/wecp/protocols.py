@@ -33,7 +33,7 @@ _TIE_EPS = 1e-12
 
 
 class BadCoefficients(ValueError):
-    """Coefficient vector is unnormalized, too short, or has a zero entry."""
+    """Coefficient vector is unnormalized, too short, non-finite, or has a zero entry."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ class WCoefficients:
         amps = tuple(complex(a) for a in self.amps)
         if len(amps) < 2:
             raise BadCoefficients("need at least two coefficients")
+        if not all(map(cmath.isfinite, amps)):
+            raise BadCoefficients(f"coefficients must be finite: {amps}")
         if any(abs(a) == 0.0 for a in amps):
             raise BadCoefficients("zero coefficients are rejected; drop the party instead")
         total = sum(abs(a) ** 2 for a in amps)
@@ -64,10 +66,12 @@ class WCoefficients:
         phases: Sequence[float] | None = None,
     ) -> "WCoefficients":
         """Build from squared moduli (probabilities) plus optional phases in radians."""
-        if any(m2 < 0 for m2 in moduli_squared):
-            raise BadCoefficients("squared moduli must be nonnegative")
         if phases is None:
             phases = [0.0] * len(moduli_squared)
+        if not all(map(math.isfinite, (*moduli_squared, *phases))):
+            raise BadCoefficients("squared moduli and phases must be finite")
+        if any(m2 < 0 for m2 in moduli_squared):
+            raise BadCoefficients("squared moduli must be nonnegative")
         if len(phases) != len(moduli_squared):
             raise BadCoefficients("phase list length must match coefficient count")
         return cls(tuple(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -40,6 +41,10 @@ class Polarization(Enum):
     V = "V"
     NONE = "-"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with equality and skips Enum's Python-level __hash__ on every Ket hash.
+    __hash__ = object.__hash__
+
 
 def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
     return tuple((m, pol.value) for m, pol in ket.photons)
@@ -50,36 +55,47 @@ class Ket:
     """Canonical photon pattern: which modes hold a photon, with optional tag.
 
     Photons are (mode, polarization) pairs kept sorted by mode label, so kets
-    built from permuted photon lists compare and hash equal.
+    built from permuted photon lists compare and hash equal. The mode map and
+    the hash are computed once at construction, so occupancy lookups are O(1).
     """
+
+    __slots__ = ("photons", "_pol", "_hash")
 
     photons: tuple[tuple[ModeLabel, Polarization], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.photons, key=lambda p: p[0]))
-        modes = [m for m, _ in pairs]
-        if len(set(modes)) != len(modes):
-            raise ModeCollision(f"duplicate occupancy in ket: {modes}")
+        pairs = tuple(sorted(self.photons, key=itemgetter(0)))
+        pol = dict(pairs)
+        if len(pol) != len(pairs):
+            raise ModeCollision(f"duplicate occupancy in ket: {[m for m, _ in pairs]}")
         object.__setattr__(self, "photons", pairs)
+        object.__setattr__(self, "_pol", pol)
+        object.__setattr__(self, "_hash", hash(pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return Ket, (self.photons,)
 
     @property
     def modes(self) -> tuple[ModeLabel, ...]:
-        return tuple(m for m, _ in self.photons)
+        return tuple(self._pol)
 
     def has(self, mode: ModeLabel) -> bool:
-        return any(m == mode for m, _ in self.photons)
+        return mode in self._pol
 
     def polarization_at(self, mode: ModeLabel) -> Polarization | None:
-        for m, pol in self.photons:
-            if m == mode:
-                return pol
-        return None
+        return self._pol.get(mode)
 
     def move(self, src: ModeLabel, dst: ModeLabel) -> "Ket":
         """Relocate the photon in ``src`` to ``dst``, keeping its tag."""
-        if not self.has(src):
+        pol = self._pol.get(src)
+        if pol is None:
             raise KeyError(f"no photon in mode {src!r}")
-        return Ket(tuple((dst if m == src else m, pol) for m, pol in self.photons))
+        i = self.photons.index((src, pol))
+        return Ket(self.photons[:i] + ((dst, pol),) + self.photons[i + 1:])
 
     def __len__(self) -> int:
         return len(self.photons)
@@ -130,7 +146,11 @@ class PureState:
         counts = {len(k) for k in kept}
         if len(counts) != 1:
             raise IncompatibleStates(f"photon count differs across kets: {counts}")
-        tags = {pol for k in kept for _, pol in k.photons}
+        tags: set[Polarization] = set()
+        occupied: set[ModeLabel] = set()
+        for k in kept:
+            tags.update(k._pol.values())
+            occupied.update(k._pol)
         none_used = Polarization.NONE in tags
         hv_used = bool(tags & {Polarization.H, Polarization.V})
         if none_used and hv_used:
@@ -140,7 +160,6 @@ class PureState:
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
 
-        occupied = {m for ket in kept for m in ket.modes}
         registry = occupied if modes is None else frozenset(modes)
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {occupied - registry}")

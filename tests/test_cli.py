@@ -1,12 +1,16 @@
 """CLI contract tests: output schemas, exit codes, byte-stable CSV."""
+import contextlib
 import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from wecp import cli
 from wecp.cli import RunConfig, cmd_compare, cmd_run, cmd_verify, main
+from wecp.protocols import RunReport
 
 GOLDEN = Path(__file__).parent / "data" / "compare_points3.csv"
 
@@ -88,6 +92,31 @@ def test_run_unparsable_coefficients_exit_2(capsys):
     assert json.loads(err)["error"] == "BadCoefficients"
 
 
+def test_run_nan_coefficient_exit_2(capsys):
+    code, out, err = run_main(capsys, [
+        "run", "--protocol", "polarization", "--coeffs2", "nan,0.5,0.5"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadCoefficients"
+
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"])
+
+
+@given(NON_FINITE, st.integers(0, 2), st.booleans())
+def test_run_any_non_finite_number_exit_2(token, position, in_phases):
+    coeffs2, phases = ["0.5", "0.3", "0.2"], ["0", "0", "0"]
+    (phases if in_phases else coeffs2)[position] = token
+    # "--opt=value" form: argparse reads a bare "-inf,..." as an option name
+    argv = ["run", "--protocol", "single-photon",
+            "--coeffs2=" + ",".join(coeffs2), "--phases=" + ",".join(phases)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert json.loads(err.getvalue())["error"] == "BadCoefficients"
+
+
 def test_cmd_run_accepts_config_object():
     buf = io.StringIO()
     config = RunConfig(protocol="polarization", coeffs2=(0.5, 0.3, 0.2),
@@ -144,6 +173,24 @@ def test_compare_bad_caps_exit_2(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_compare_zero_caps_exit_2(capsys):
+    code, out, err = run_main(capsys, ["compare", "--points", "3", "--caps", "0,0"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_usage_error_prints_json_record(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--points", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "UsageError"
+    assert "--points" in record["message"]
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_small_batch(capsys):
@@ -177,6 +224,49 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     code, out, _ = run_main(capsys, ["verify", "--trials", "3", "--n-range", "2,3"])
     assert code == 0
     assert json.loads(out)["seed"] == 77
+
+
+def test_verify_bad_seed_from_environment_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("ECP_SEED", "abc")
+    code, out, err = run_main(capsys, ["verify", "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    code, _, err = run_main(capsys, ["verify", "--trials", "1", "--seed", "-1"])
+    assert code == 2
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_verify_nan_coefficient_never_exits_0(capsys):
+    code, out, err = run_main(capsys, [
+        "verify", "--trials", "1", "--seed", "0", "--coeffs2", "nan,0.5,0.5"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadCoefficients"
+
+
+@pytest.mark.parametrize("total_prob, fid", [(math.nan, 1.0), (0.5, math.nan)])
+def test_verify_aggregation_keeps_nan(monkeypatch, total_prob, fid):
+    # A driver answering NaN must fail the batch and show in the summary,
+    # not be dropped by max()/min() or pass a tolerance comparison.
+    real = cli._DRIVERS["polarization"]
+
+    def broken(c):
+        report = real(c)
+        return RunReport(report.step_probs, total_prob, report.final_state, fid)
+
+    monkeypatch.setitem(cli._DRIVERS, "polarization", broken)
+    buf = io.StringIO()
+    code = cmd_verify(trials=3, n_range=(2, 4), seed=1,
+                      coeffs2=(0.25, 0.25, 0.5), out=buf)
+    assert code == 1
+    summary = json.loads(buf.getvalue())
+    assert len(summary["failures"]) == 3
+    worst = summary["max_abs_error"] if math.isnan(total_prob) else summary["min_fidelity"]
+    assert math.isnan(worst)
 
 
 def test_verify_deterministic_for_fixed_seed(capsys):

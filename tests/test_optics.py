@@ -174,6 +174,82 @@ def test_pbs_collision_within_one_ket():
         apply_pbs(s, PbsWiring("a1", "b1", "c1", "d1"))
 
 
+def test_pbs_collision_when_both_inputs_route_to_one_output():
+    # V on in_a and H on in_b both leave through out_d
+    s = PureState({pol_ket(("a1", V), ("b1", H)): 1.0})
+    with pytest.raises(ModeCollision):
+        apply_pbs(s, PbsWiring("a1", "b1", "c1", "d1"))
+
+
+def test_pbs_collision_with_bystander_on_output():
+    # H on a1 routes to c1, where an untouched photon already sits
+    s = PureState({pol_ket(("a1", H), ("c1", V)): 1.0})
+    with pytest.raises(ModeCollision):
+        apply_pbs(s, PbsWiring("a1", None, "c1", "d1"))
+    # the other branch of the same state collides too, via out_d
+    s = PureState({pol_ket(("a1", V), ("d1", H)): 1.0}, modes=["a1", "c1", "d1"])
+    with pytest.raises(ModeCollision):
+        apply_pbs(s, PbsWiring("a1", None, "c1", "d1"))
+
+
+def _route_every_photon(state, w):
+    """Reference PBS: rebuild each ket by routing all of its photons."""
+    def route(mode, pol):
+        if mode == w.in_a:
+            return w.out_c if pol is H else w.out_d
+        if mode == w.in_b:
+            return w.out_d if pol is H else w.out_c
+        return mode
+
+    terms = {}
+    for ket, amp in state.terms.items():
+        routed = tuple((route(m, pol), pol) for m, pol in ket.photons)
+        if len({m for m, _ in routed}) != len(routed):
+            raise ModeCollision("reference routing collides")
+        k = Ket(routed)
+        terms[k] = terms.get(k, 0j) + amp
+    modes = (set(state.modes) | {w.out_c, w.out_d}) - {w.in_a, w.in_b}
+    return PureState(terms, modes=modes, prune_eps=state.prune_eps)
+
+
+POOL = tuple(f"m{i}" for i in range(7))
+
+
+@st.composite
+def pbs_cases(draw):
+    size = draw(st.integers(1, 4))
+    kets = draw(st.lists(
+        st.lists(st.sampled_from(POOL), min_size=size, max_size=size, unique=True).flatmap(
+            lambda modes: st.tuples(*(st.tuples(st.just(m), st.sampled_from([H, V]))
+                                      for m in modes))),
+        min_size=1, max_size=5))
+    terms = {}
+    for photons in kets:
+        terms[Ket(photons)] = 1.0
+    norm = math.sqrt(len(terms))
+    state = PureState({k: a / norm for k, a in terms.items()}, modes=POOL)
+    labels = draw(st.permutations(POOL))
+    in_b = labels[1] if draw(st.booleans()) else None
+    return state, PbsWiring(labels[0], in_b, labels[2], labels[3])
+
+
+def _outcome(element, state, wiring):
+    """Output terms and registry, or the type of the error raised."""
+    try:
+        out = element(state, wiring)
+    except ValueError as exc:
+        return type(exc)
+    return dict(out.terms), out.modes
+
+
+@given(pbs_cases())
+def test_pbs_matches_routing_every_photon(case):
+    # Outputs may name registered modes here, so bystander collisions and
+    # merged kets (norm above 1) occur alongside clean routings.
+    state, wiring = case
+    assert _outcome(apply_pbs, state, wiring) == _outcome(_route_every_photon, state, wiring)
+
+
 def test_pbs_wiring_labels_distinct():
     with pytest.raises(ModeCollision):
         PbsWiring("a1", "a1", "x", "y")

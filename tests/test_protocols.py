@@ -47,6 +47,18 @@ def test_coefficients_validation():
         coeffs(0.5, 0.3, 0.2, phases=[0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficients_reject_non_finite(bad):
+    with pytest.raises(BadCoefficients):
+        coeffs(bad, 0.5, 0.5)
+    with pytest.raises(BadCoefficients):
+        coeffs(0.5, 0.5, phases=[bad, 0.0])
+    with pytest.raises(BadCoefficients):
+        WCoefficients((complex(bad, 0.0), 0.6, 0.8))
+    with pytest.raises(BadCoefficients):
+        WCoefficients((complex(0.6, bad), 0.8))
+
+
 def test_coefficients_min_index():
     assert coeffs(*EXAMPLE).min_index == 2
     assert coeffs(0.2, 0.5, 0.3).min_index == 0

@@ -1,5 +1,7 @@
 """Tests for the sparse pure-state layer."""
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +59,48 @@ def test_ket_move_keeps_tag():
     assert k.move("a1", "a2") == Ket((("a2", H), ("b1", V)))
     with pytest.raises(KeyError):
         k.move("c1", "c2")
+
+
+MODE_NAMES = st.text(alphabet="abcxyz0129", min_size=1, max_size=4)
+PHOTON_LISTS = st.dictionaries(MODE_NAMES, st.sampled_from([H, V]), min_size=1, max_size=8)
+
+
+@given(PHOTON_LISTS, st.data())
+def test_ket_permutations_equal_and_hash_equal(tags, data):
+    photons = list(tags.items())
+    shuffled = data.draw(st.permutations(photons))
+    a, b = Ket(tuple(photons)), Ket(tuple(shuffled))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+@given(PHOTON_LISTS, st.lists(MODE_NAMES, max_size=6))
+def test_ket_lookups_agree_with_photon_scan(tags, probes):
+    k = Ket(tuple(tags.items()))
+    assert k.modes == tuple(m for m, _ in k.photons)
+    assert k.modes == tuple(sorted(tags))
+    for mode in list(tags) + probes:
+        scanned = [pol for m, pol in k.photons if m == mode]
+        assert k.has(mode) == bool(scanned)
+        assert k.polarization_at(mode) == (scanned[0] if scanned else None)
+
+
+def test_ket_move_onto_occupied_mode_collides():
+    with pytest.raises(ModeCollision):
+        Ket((("a1", H), ("b1", V))).move("a1", "b1")
+
+
+def test_ket_copy_and_pickle_rebuild_the_cache():
+    k = Ket((("b1", V), ("a1", H)))
+    for clone in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert clone == k and hash(clone) == hash(k)
+        assert clone.polarization_at("b1") is V
+
+
+def test_polarization_hash_is_consistent_with_equality():
+    assert len({H, V, NONE, Polarization("H"), Polarization("-")}) == 3
+    assert hash(Polarization("V")) == hash(V)
 
 
 # --- PureState construction --------------------------------------------
