@@ -44,7 +44,6 @@ class RunConfig:
     coeffs2: tuple[float, ...]
     phases: tuple[float, ...] | None = None
     output_format: str = "text"
-    seed: int | None = None
 
 
 class UsageError(ValueError):

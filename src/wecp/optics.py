@@ -101,21 +101,21 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     """
     if s.input not in state.modes:
         raise UnknownMode(f"VBS input mode {s.input!r} does not exist")
-    for ket in state.terms:
-        for out in (s.out_transmit, s.out_reflect):
-            if out != s.input and ket.has(out):
-                raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
 
     amp_t = math.sqrt(s.transmittance)
     amp_r = math.sqrt(1.0 - s.transmittance)
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state.terms.items():
         if ket.has(s.input):
+            # move raises ModeCollision when an output other than the input is taken
             kt = ket.move(s.input, s.out_transmit)
             kr = ket.move(s.input, s.out_reflect)
             new_terms[kt] = new_terms.get(kt, 0j) + amp * amp_t
             new_terms[kr] = new_terms.get(kr, 0j) + amp * amp_r
         else:
+            for out in (s.out_transmit, s.out_reflect):
+                if ket.has(out):
+                    raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
             new_terms[ket] = new_terms.get(ket, 0j) + amp
 
     modes = set(state.modes) | {s.out_transmit, s.out_reflect}
@@ -138,21 +138,15 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     if w.in_b is not None:
         ports.append((w.in_b, w.out_d, w.out_c))
 
+    # Outputs are never input labels, so a move that finds its output taken
+    # has met a bystander or the photon routed from the other input port.
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state.terms.items():
-        moves = []
         for src, out_h, out_v in ports:
             pol = ket.polarization_at(src)
             if pol is not None:
-                moves.append((src, out_h if pol is Polarization.H else out_v))
-        # Outputs are never input labels, so an occupied output is a bystander.
-        targets = [dst for _, dst in moves]
-        if len(set(targets)) != len(targets) or any(map(ket.has, targets)):
-            raise ModeCollision(f"PBS routes two photons of {ket} into one mode")
-        new_ket = ket
-        for src, dst in moves:
-            new_ket = new_ket.move(src, dst)
-        new_terms[new_ket] = new_terms.get(new_ket, 0j) + amp
+                ket = ket.move(src, out_h if pol is Polarization.H else out_v)
+        new_terms[ket] = new_terms.get(ket, 0j) + amp
 
     modes = set(state.modes) | {w.out_c, w.out_d}
     modes.discard(w.in_a)

@@ -12,7 +12,6 @@ renormalizes implicitly, so branch probabilities stay auditable step by step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
@@ -46,31 +45,69 @@ class Polarization(Enum):
     __hash__ = object.__hash__
 
 
+_TAG_TEXT = {pol: pol.value for pol in Polarization}
+
+# Per-photon hashes are kept to 63 bits, so their XOR is a non-negative
+# machine-size int that Python uses as the hash without reducing it again.
+_HASH_MASK = (1 << 63) - 1
+
+
+def _photon_hash(mode: ModeLabel, pol: Polarization) -> int:
+    """Hash of one photon, bit-shuffled as frozenset shuffles each element hash.
+
+    A ket hashes to the XOR of its photon hashes, which ignores photon order
+    and lets a move swap one photon's share in O(1). The shuffle spreads
+    nearby hashes apart so the XOR does not cancel on structured kets.
+    """
+    h = hash((mode, pol)) & _HASH_MASK
+    return ((h ^ 89869747 ^ (h << 16)) * 3644798167) & _HASH_MASK
+
+
 def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
-    return tuple((m, pol.value) for m, pol in ket.photons)
+    pol = ket._pol
+    return tuple([(m, _TAG_TEXT[pol[m]]) for m in sorted(pol)])
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Ket:
-    """Canonical photon pattern: which modes hold a photon, with optional tag.
+    """Photon pattern: which modes hold a photon, and each photon's tag.
 
-    Photons are (mode, polarization) pairs kept sorted by mode label, so kets
-    built from permuted photon lists compare and hash equal. The mode map and
-    the hash are computed once at construction, so occupancy lookups are O(1).
+    A ket is its mode→polarization map, so kets built from permuted photon
+    lists compare equal. The hash is the XOR of one shuffled hash per photon
+    (``_photon_hash``): it is computed once by the constructor, and ``move``
+    updates it in O(1) by swapping out the moved photon's old share for its
+    new one. ``photons`` and ``modes`` are sorted by mode label and derived on
+    demand. Kets are immutable.
     """
 
-    __slots__ = ("photons", "_pol", "_hash")
+    __slots__ = ("_pol", "_hash", "_tags")
 
-    photons: tuple[tuple[ModeLabel, Polarization], ...]
+    def __init__(self, photons: Iterable[tuple[ModeLabel, Polarization]]) -> None:
+        self.__post_init__(tuple(photons))
 
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.photons, key=itemgetter(0)))
-        pol = dict(pairs)
-        if len(pol) != len(pairs):
-            raise ModeCollision(f"duplicate occupancy in ket: {[m for m, _ in pairs]}")
-        object.__setattr__(self, "photons", pairs)
-        object.__setattr__(self, "_pol", pol)
-        object.__setattr__(self, "_hash", hash(pairs))
+    def __post_init__(self, photons: tuple[tuple[ModeLabel, Polarization], ...]) -> None:
+        pol = dict(photons)
+        if len(pol) != len(photons):
+            raise ModeCollision(f"duplicate occupancy in ket: {sorted(m for m, _ in photons)}")
+        h = 0
+        for mode, tag in photons:
+            h ^= _photon_hash(mode, tag)
+        _set(self, "_pol", pol)
+        _set(self, "_hash", h)
+        _set(self, "_tags", frozenset(pol.values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ket is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Ket is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ket):
+            return NotImplemented
+        return self._hash == other._hash and self._pol == other._pol
 
     def __hash__(self) -> int:
         return self._hash
@@ -80,8 +117,12 @@ class Ket:
         return Ket, (self.photons,)
 
     @property
+    def photons(self) -> tuple[tuple[ModeLabel, Polarization], ...]:
+        return tuple(sorted(self._pol.items(), key=itemgetter(0)))
+
+    @property
     def modes(self) -> tuple[ModeLabel, ...]:
-        return tuple(self._pol)
+        return tuple(sorted(self._pol))
 
     def has(self, mode: ModeLabel) -> bool:
         return mode in self._pol
@@ -90,15 +131,33 @@ class Ket:
         return self._pol.get(mode)
 
     def move(self, src: ModeLabel, dst: ModeLabel) -> "Ket":
-        """Relocate the photon in ``src`` to ``dst``, keeping its tag."""
-        pol = self._pol.get(src)
-        if pol is None:
+        """Relocate the photon in ``src`` to ``dst``, keeping its tag.
+
+        Moving a photon onto its own mode returns this ket.
+
+        Raises:
+            KeyError: ``src`` holds no photon.
+            ModeCollision: ``dst`` already holds a photon.
+        """
+        pol = self._pol
+        tag = pol.get(src)
+        if tag is None:
             raise KeyError(f"no photon in mode {src!r}")
-        i = self.photons.index((src, pol))
-        return Ket(self.photons[:i] + ((dst, pol),) + self.photons[i + 1:])
+        if dst == src:
+            return self
+        if dst in pol:
+            raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
+        moved = pol.copy()
+        del moved[src]
+        moved[dst] = tag
+        ket = object.__new__(Ket)
+        _set(ket, "_pol", moved)
+        _set(ket, "_hash", self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
+        _set(ket, "_tags", self._tags)
+        return ket
 
     def __len__(self) -> int:
-        return len(self.photons)
+        return len(self._pol)
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -113,7 +172,7 @@ class PureState:
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
-            modulus below ``prune_eps`` are dropped.
+            modulus below ``prune_eps`` are dropped; a NaN is never dropped.
         modes: every mode label known to this state, occupied or vacuum.
             Defaults to the modes occupied by the terms. Acts as the mode
             registry for the optics elements: detectors may sit on vacuum
@@ -123,11 +182,12 @@ class PureState:
     Raises:
         ZeroState: no term survives pruning.
         IncompatibleStates: kets differ in photon count or mix conventions.
-        ValueError: squared norm exceeds 1, or a term occupies a mode
-            missing from ``modes``.
+        ValueError: an amplitude is NaN, the squared norm exceeds 1 (an
+            infinite amplitude does), or a term occupies a mode missing from
+            ``modes``.
     """
 
-    __slots__ = ("_terms", "modes", "prune_eps", "photon_count", "uses_polarization")
+    __slots__ = ("_terms", "_norm2", "modes", "prune_eps", "photon_count", "uses_polarization")
 
     def __init__(
         self,
@@ -135,40 +195,48 @@ class PureState:
         modes: Iterable[ModeLabel] | None = None,
         prune_eps: float = DEFAULT_PRUNE_EPS,
     ) -> None:
+        registry = None if modes is None else frozenset(modes)
         kept: dict[Ket, complex] = {}
+        n2 = 0.0
+        count = -1
+        tags: set[Polarization] = set()
+        occupied: set[ModeLabel] = set()
         for ket, amp in terms.items():
             a = complex(amp)
-            if a.real * a.real + a.imag * a.imag >= prune_eps:
-                kept[ket] = a
+            m2 = a.real * a.real + a.imag * a.imag
+            if not m2 >= prune_eps:
+                if not m2 < prune_eps:
+                    raise ValueError(f"amplitude {a} at {ket} or prune_eps {prune_eps} is NaN")
+                continue
+            kept[ket] = a
+            n2 += m2
+            pol = ket._pol
+            if len(pol) != count:
+                if count >= 0:
+                    raise IncompatibleStates(
+                        f"photon count differs across kets: {count} and {len(pol)}")
+                count = len(pol)
+            tags.update(ket._tags)
+            occupied.update(pol)
         if not kept:
             raise ZeroState("state has no terms above the pruning threshold")
 
-        counts = {len(k) for k in kept}
-        if len(counts) != 1:
-            raise IncompatibleStates(f"photon count differs across kets: {counts}")
-        tags: set[Polarization] = set()
-        occupied: set[ModeLabel] = set()
-        for k in kept:
-            tags.update(k._pol.values())
-            occupied.update(k._pol)
-        none_used = Polarization.NONE in tags
-        hv_used = bool(tags & {Polarization.H, Polarization.V})
-        if none_used and hv_used:
+        hv_used = Polarization.H in tags or Polarization.V in tags
+        if hv_used and Polarization.NONE in tags:
             raise IncompatibleStates("kets mix tagged and untagged photons")
-
-        n2 = sum(abs(a) ** 2 for a in kept.values())
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
-
-        registry = occupied if modes is None else frozenset(modes)
-        if not occupied <= registry:
+        if registry is None:
+            registry = frozenset(occupied)
+        elif not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {occupied - registry}")
 
-        object.__setattr__(self, "_terms", kept)
-        object.__setattr__(self, "modes", frozenset(registry))
-        object.__setattr__(self, "prune_eps", float(prune_eps))
-        object.__setattr__(self, "photon_count", counts.pop())
-        object.__setattr__(self, "uses_polarization", hv_used)
+        _set(self, "_terms", kept)
+        _set(self, "_norm2", n2)
+        _set(self, "modes", registry)
+        _set(self, "prune_eps", float(prune_eps))
+        _set(self, "photon_count", count)
+        _set(self, "uses_polarization", hv_used)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -198,8 +266,11 @@ class PureState:
 
 
 def norm_squared(state: PureState) -> float:
-    """Total squared amplitude, read as the probability of this branch."""
-    return sum(abs(a) ** 2 for a in state.terms.values())
+    """Total squared amplitude, read as the probability of this branch.
+
+    Summed once, while the state was validated.
+    """
+    return state._norm2
 
 
 def normalize(state: PureState) -> PureState:
@@ -227,8 +298,12 @@ def fidelity(a: PureState, b: PureState) -> float:
     """
     if a.uses_polarization != b.uses_polarization:
         raise IncompatibleStates("cannot overlap tagged and untagged states")
-    shared = sorted((k for k in a.terms if k in b.terms), key=_ket_key)
-    overlap = sum((a.terms[k].conjugate() * b.terms[k] for k in shared), start=0j)
+    tb = b._terms
+    shared = sorted(
+        ((_ket_key(k), x, y) for k, x in a._terms.items() if (y := tb.get(k)) is not None),
+        key=itemgetter(0),
+    )
+    overlap = sum((x.conjugate() * y for _, x, y in shared), start=0j)
     f = abs(overlap) ** 2 / (norm_squared(a) * norm_squared(b))
     return min(max(f, 0.0), 1.0)
 

@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from wecp.optics import PbsWiring, VbsSetting, apply_pbs, apply_vbs, detect_vacuum
 from wecp.protocols import (
@@ -202,3 +203,49 @@ def test_criterion_6_optimality_bound_sweep():
     assert elapsed < 30.0, f"sweep took {elapsed:.2f} s"
     print(f"\nACCEPTANCE [6/6] PASS optimality bound sweep "
           f"(20 instances x 100x100 grid, {elapsed:.2f} s)")
+
+
+@settings(max_examples=12)
+@given(st.integers(0, 2**63 - 1))
+def test_optimality_bound_any_instance(seed):
+    """Criterion 6's bound, without depending on which instances are drawn.
+
+    The grid always holds the optimal t1 = m_lo/m_hi and t2 = m_lo/m_mid, where
+    the bound 3·min|a|² must hold outright. A cell merely near fidelity 1 may
+    keep slightly more: a fidelity deficit e lets the kept probability exceed
+    the bound by bound·sqrt(8e) to first order, and the check allows twice that.
+    """
+    c = sample_coeffs(np.random.default_rng(seed), 3, floor=0.01)
+    m2 = c.moduli_squared
+    p_hi, p_mid, p_lo = sorted(range(3), key=lambda i: (-m2[i], i))
+    bound = 3.0 * m2[p_lo]
+    t1_opt, t2_opt = m2[p_lo] / m2[p_hi], m2[p_lo] / m2[p_mid]
+    grid = [float(t) for t in np.linspace(0.01, 1.0, 40)]
+
+    def with_optimum(t_opt):
+        # the optimum and cells just off it, where fidelity is near 1 but not 1
+        near = (t_opt * (1.0 - 1e-4), t_opt * (1.0 + 1e-4), t_opt * (1.0 + 1e-6))
+        return sorted({*grid, t_opt, *(t for t in near if t <= 1.0)})
+
+    labels = default_party_labels(3)
+    state0 = w_state_single_photon(c, labels)
+    final = list(labels)
+    final[p_hi], final[p_mid] = "u1", "u2"
+    target = target_w_state(c, final)
+
+    optimum_checked = near_cells = False
+    for t1 in with_optimum(t1_opt):
+        o1 = detect_vacuum(apply_vbs(state0, VbsSetting(labels[p_hi], "u1", "v1", t1)), "v1")
+        for t2 in with_optimum(t2_opt):
+            s2 = apply_vbs(o1.kept_state, VbsSetting(labels[p_mid], "u2", "v2", t2))
+            o2 = detect_vacuum(s2, "v2")
+            f = fidelity(o2.kept_state, target)
+            prob = o1.probability * o2.probability
+            if t1 == t1_opt and t2 == t2_opt:
+                assert f >= 1.0 - 1e-10
+                assert prob <= bound + 1e-9
+                optimum_checked = True
+            if f > 1.0 - 1e-6:
+                assert prob <= bound * (1.0 + 2.0 * math.sqrt(8.0 * (1.0 - f))) + 1e-9
+                near_cells |= prob > bound
+    assert optimum_checked and near_cells

@@ -250,6 +250,36 @@ def test_pbs_matches_routing_every_photon(case):
     assert _outcome(apply_pbs, state, wiring) == _outcome(_route_every_photon, state, wiring)
 
 
+def _split_every_ket(state, s):
+    """Reference VBS: rebuild each ket from its photon list, checking outputs."""
+    split = (math.sqrt(s.transmittance), math.sqrt(1.0 - s.transmittance))
+    outs = (s.out_transmit, s.out_reflect)
+    terms = {}
+    for ket, amp in state.terms.items():
+        photons = dict(ket.photons)
+        tag = photons.pop(s.input, None)
+        if any(out in photons for out in outs):
+            raise ModeCollision("reference split collides")
+        if tag is None:
+            terms[ket] = terms.get(ket, 0j) + amp
+            continue
+        for out, factor in zip(outs, split):
+            k = Ket(tuple(photons.items()) + ((out, tag),))
+            terms[k] = terms.get(k, 0j) + amp * factor
+    modes = set(state.modes) | set(outs)
+    if s.input not in outs:
+        modes.discard(s.input)
+    return PureState(terms, modes=modes, prune_eps=state.prune_eps)
+
+
+@given(pbs_cases(), st.sampled_from(POOL), st.permutations(POOL), st.floats(0.0, 1.0))
+def test_vbs_matches_splitting_every_ket(case, src, labels, t):
+    # Outputs may be the input itself, a bystander's mode or a free mode.
+    state, _ = case
+    setting = VbsSetting(src, labels[0], labels[1], t)
+    assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
+
+
 def test_pbs_wiring_labels_distinct():
     with pytest.raises(ModeCollision):
         PbsWiring("a1", "a1", "x", "y")

@@ -98,6 +98,78 @@ def test_ket_copy_and_pickle_rebuild_the_cache():
         assert clone.polarization_at("b1") is V
 
 
+@st.composite
+def move_chains(draw):
+    """A photon map and a few moves, each from an occupied to a free mode."""
+    tags = draw(PHOTON_LISTS)
+    moves = []
+    occupied = set(tags)
+    for _ in range(draw(st.integers(1, 4))):
+        src = draw(st.sampled_from(sorted(occupied)))
+        dst = draw(MODE_NAMES.filter(lambda m: m not in occupied))
+        moves.append((src, dst))
+        occupied = (occupied - {src}) | {dst}
+    return tags, moves
+
+
+@given(move_chains())
+def test_ket_move_matches_public_constructor(case):
+    tags, moves = case
+    ket, photons = Ket(tuple(tags.items())), dict(tags)
+    for src, dst in moves:
+        ket = ket.move(src, dst)
+        photons[dst] = photons.pop(src)
+        built = Ket(tuple(photons.items()))
+        assert ket == built and hash(ket) == hash(built)
+        assert ket.photons == built.photons
+        assert ket.modes == tuple(sorted(photons))
+
+
+@given(move_chains())
+def test_ket_move_there_and_back_restores_hash(case):
+    tags, moves = case
+    start = Ket(tuple(tags.items()))
+    ket = start
+    for src, dst in moves:
+        ket = ket.move(src, dst)
+    for src, dst in reversed(moves):
+        ket = ket.move(dst, src)
+    assert ket == start and hash(ket) == hash(start)
+
+
+@given(PHOTON_LISTS, st.data())
+def test_ket_photons_stay_sorted(tags, data):
+    photons = data.draw(st.permutations(list(tags.items())))
+    ket = Ket(tuple(photons))
+    modes = [m for m, _ in ket.photons]
+    assert modes == sorted(modes) and len(set(modes)) == len(modes)
+    assert dict(ket.photons) == tags
+
+
+@given(PHOTON_LISTS, st.sampled_from(["photons", "modes", "_pol", "_hash", "_tags", "extra"]))
+def test_ket_rejects_attribute_assignment(tags, name):
+    ket = Ket(tuple(tags.items()))
+    with pytest.raises(AttributeError):
+        setattr(ket, name, ())
+    with pytest.raises(AttributeError):
+        delattr(ket, name)
+    assert ket == Ket(tuple(tags.items()))
+
+
+def test_ket_move_onto_own_mode_is_identity():
+    k = Ket((("a1", H), ("b1", V)))
+    assert k.move("a1", "a1") is k
+
+
+def test_w_state_kets_hash_apart():
+    # one H among N V photons: the kets differ only in which party holds H
+    modes = [f"p{i}" for i in range(64)]
+    kets = [Ket(tuple((m, H if m == hot else V) for m in modes)) for hot in modes]
+    assert len({hash(k) for k in kets}) == len(kets)
+    moved = [k.move("p0", "q0") for k in kets]
+    assert len({hash(k) for k in moved}) == len(kets)
+
+
 def test_polarization_hash_is_consistent_with_equality():
     assert len({H, V, NONE, Polarization("H"), Polarization("-")}) == 3
     assert hash(Polarization("V")) == hash(V)
@@ -151,6 +223,25 @@ def test_state_is_immutable():
         s.terms[single("a1")] = 1.0
 
 
+def test_nan_amplitude_is_rejected_not_pruned():
+    for nan in (math.nan, complex(0.0, math.nan)):
+        with pytest.raises(ValueError) as info:
+            PureState({single("a1"): nan, single("b1"): 1.0})
+        assert not isinstance(info.value, ZeroState)
+
+
+def test_lone_nan_amplitude_is_not_a_zero_state():
+    with pytest.raises(ValueError) as info:
+        PureState({single("a1"): math.nan})
+    assert not isinstance(info.value, ZeroState)
+
+
+def test_infinite_amplitude_rejected():
+    for inf in (math.inf, -math.inf, complex(0.0, math.inf)):
+        with pytest.raises(ValueError):
+            PureState({single("a1"): inf, single("b1"): 0.5})
+
+
 # --- norm_squared -------------------------------------------------------
 
 def test_norm_squared_of_w3_is_one():
@@ -168,6 +259,21 @@ def test_norm_squared_post_selected_branch():
     t1 = 0.4
     s = PureState({single("a2"): a * math.sqrt(t1), single("b1"): b, single("c1"): g})
     assert norm_squared(s) == pytest.approx(0.7, abs=1e-12)
+
+
+AMPLITUDES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(AMPLITUDES, min_size=1, max_size=40))
+def test_norm_squared_is_sum_of_squared_moduli(amps):
+    n = len(amps)
+    terms = {single(f"m{i}"): a / math.sqrt(n) for i, a in enumerate(amps)}
+    try:
+        s = PureState(terms)
+    except ZeroState:
+        return
+    expected = sum(abs(a) ** 2 for a in s.terms.values())
+    assert abs(norm_squared(s) - expected) <= 1e-15 * n
 
 
 # --- normalize ----------------------------------------------------------
