@@ -22,7 +22,6 @@ from .protocols import (
     BadCoefficients,
     WCoefficients,
     analytic_total_probability,
-    plan_transmittances,
     run_polarization_ecp,
     run_single_photon_ecp,
 )
@@ -109,10 +108,9 @@ def cmd_run(config: RunConfig, out: TextIO | None = None) -> int:
         out.write(f"analytic_prob,{_fmt(analytic)}\n")
         out.write(f"fidelity,{_fmt(report.fidelity_to_target)}\n")
     else:
-        plan = plan_transmittances(coeffs)
         out.write(f"protocol: {config.protocol}\n")
         out.write(f"coeffs2: {' '.join(_fmt(x) for x in config.coeffs2)}\n")
-        for step, p in zip(plan.steps, report.step_probs):
+        for step, p in zip(report.steps, report.step_probs):
             out.write(
                 f"step party={step.party + 1} t={_fmt(step.transmittance)}"
                 f" kept_prob={_fmt(p)}\n"

@@ -118,13 +118,15 @@ class RunReport:
     ``final_state`` is left sub-normalized so that its squared norm equals
     ``total_prob``; ``total_prob`` is the product of the per-step kept
     probabilities. ``fidelity_to_target`` compares against the equal-modulus
-    W state carrying the input phases.
+    W state carrying the input phases. ``steps`` lists the executed steps in
+    order; in the polarization circuit each holds the H-path VBS.
     """
 
     step_probs: tuple[float, ...]
     total_prob: float
     final_state: PureState
     fidelity_to_target: float
+    steps: tuple[PlanStep, ...] = ()
 
 
 def default_party_labels(n: int) -> tuple[ModeLabel, ...]:
@@ -199,11 +201,6 @@ def analytic_total_probability(c: WCoefficients) -> float:
     return c.n * min(c.moduli_squared)
 
 
-def _party_order(c: WCoefficients) -> list[int]:
-    m2 = c.moduli_squared
-    return sorted(range(c.n), key=lambda i: (-m2[i], i))
-
-
 def _schedule(
     c: WCoefficients, transmittances: Mapping[int, float] | None
 ) -> list[tuple[int, float]]:
@@ -214,14 +211,11 @@ def _schedule(
     the given parties at the given transmittances.
     """
     m2 = c.moduli_squared
+    order = sorted(range(c.n), key=lambda i: (-m2[i], i))
     if transmittances is None:
         mn = min(m2)
-        return [
-            (i, mn / m2[i])
-            for i in _party_order(c)
-            if mn / m2[i] < 1.0 - _TIE_EPS
-        ]
-    return [(i, float(transmittances[i])) for i in _party_order(c) if i in transmittances]
+        return [(i, mn / m2[i]) for i in order if mn / m2[i] < 1.0 - _TIE_EPS]
+    return [(i, float(transmittances[i])) for i in order if i in transmittances]
 
 
 def plan_transmittances(
@@ -233,21 +227,52 @@ def plan_transmittances(
     t_i = |a_min|^2 / |a_i|^2; ties with the minimum need no step. Steps are
     ordered by descending modulus.
     """
+    return ProtocolPlan(run_single_photon_ecp(c, labels).steps, c.min_index)
+
+
+def _run(
+    c: WCoefficients,
+    labels: Sequence[ModeLabel] | None,
+    transmittances: Mapping[int, float] | None,
+    polarization: bool,
+) -> RunReport:
+    """Run the schedule; a polarization step is the single-photon step between two PBSs."""
     labels = _checked_labels(c, labels)
-    taken = set(labels)
+    state = (w_state_polarization if polarization else w_state_single_photon)(c, labels)
+    current = list(labels)
+    taken = set(labels)  # each minted label joins it, so no label is ever reused
+
+    def mint(base: ModeLabel) -> ModeLabel:
+        label = fresh_label(taken, base)
+        taken.add(label)
+        return label
+
     steps = []
-    for party, t in _schedule(c, None):
-        out_t = fresh_label(taken, labels[party])
-        taken.add(out_t)
-        out_r = fresh_label(taken, labels[party])
-        taken.add(out_r)
-        steps.append(PlanStep(
-            party=party,
-            transmittance=t,
-            vbs=VbsSetting(labels[party], out_t, out_r, t),
-            detector=out_r,
-        ))
-    return ProtocolPlan(steps=tuple(steps), min_index=c.min_index)
+    step_probs = []
+    for party, t in _schedule(c, transmittances):
+        base = vbs_in = current[party]
+        if polarization:
+            vbs_in, v_out = mint(base), mint(base)
+            state = apply_pbs(state, PbsWiring(base, None, vbs_in, v_out))
+        vbs = VbsSetting(vbs_in, mint(base), mint(base), t)
+        state = apply_vbs(state, vbs)
+        outcome = detect_vacuum(state, vbs.out_reflect)
+        step_probs.append(outcome.probability)
+        state = outcome.kept_state
+        steps.append(PlanStep(party, t, vbs, vbs.out_reflect))
+        out = vbs.out_transmit
+        if polarization:  # merge the kept H path with the V path
+            out = mint(base)
+            state = apply_pbs(state, PbsWiring(vbs.out_transmit, v_out, out, mint(base)))
+        current[party] = out
+    target = target_w_state(c, current, polarization=polarization)
+    return RunReport(
+        step_probs=tuple(step_probs),
+        total_prob=math.prod(step_probs),
+        final_state=state,
+        fidelity_to_target=fidelity(state, target),
+        steps=tuple(steps),
+    )
 
 
 def run_single_photon_ecp(
@@ -262,27 +287,7 @@ def run_single_photon_ecp(
     optimal plan with explicit per-party values (used for scanning
     suboptimal settings); leave it None for the optimal run.
     """
-    labels = _checked_labels(c, labels)
-    state = w_state_single_photon(c, labels)
-    current = list(labels)
-    step_probs = []
-    for party, t in _schedule(c, transmittances):
-        taken = set(state.modes)
-        out_t = fresh_label(taken, current[party])
-        taken.add(out_t)
-        out_r = fresh_label(taken, current[party])
-        state = apply_vbs(state, VbsSetting(current[party], out_t, out_r, t))
-        outcome = detect_vacuum(state, out_r)
-        step_probs.append(outcome.probability)
-        state = outcome.kept_state
-        current[party] = out_t
-    target = target_w_state(c, current)
-    return RunReport(
-        step_probs=tuple(step_probs),
-        total_prob=math.prod(step_probs),
-        final_state=state,
-        fidelity_to_target=fidelity(state, target),
-    )
+    return _run(c, labels, transmittances, polarization=False)
 
 
 def run_polarization_ecp(
@@ -297,36 +302,4 @@ def run_polarization_ecp(
     reflected mode, then merges the surviving H path with the V path on a
     second PBS so the party ends up on a single mode again.
     """
-    labels = _checked_labels(c, labels)
-    state = w_state_polarization(c, labels)
-    current = list(labels)
-    step_probs = []
-    for party, t in _schedule(c, transmittances):
-        taken = set(state.modes)
-        h_out = fresh_label(taken, current[party])
-        taken.add(h_out)
-        v_out = fresh_label(taken, current[party])
-        taken.add(v_out)
-        state = apply_pbs(state, PbsWiring(current[party], None, h_out, v_out))
-
-        vbs_t = fresh_label(taken, current[party])
-        taken.add(vbs_t)
-        vbs_r = fresh_label(taken, current[party])
-        taken.add(vbs_r)
-        state = apply_vbs(state, VbsSetting(h_out, vbs_t, vbs_r, t))
-        outcome = detect_vacuum(state, vbs_r)
-        step_probs.append(outcome.probability)
-        state = outcome.kept_state
-
-        merged = fresh_label(taken, current[party])
-        taken.add(merged)
-        spare = fresh_label(taken, current[party])
-        state = apply_pbs(state, PbsWiring(vbs_t, v_out, merged, spare))
-        current[party] = merged
-    target = target_w_state(c, current, polarization=True)
-    return RunReport(
-        step_probs=tuple(step_probs),
-        total_prob=math.prod(step_probs),
-        final_state=state,
-        fidelity_to_target=fidelity(state, target),
-    )
+    return _run(c, labels, transmittances, polarization=True)

@@ -177,14 +177,15 @@ class PureState:
             Defaults to the modes occupied by the terms. Acts as the mode
             registry for the optics elements: detectors may sit on vacuum
             modes, but only on modes that exist here.
-        prune_eps: squared-amplitude threshold below which terms are dropped.
+        prune_eps: squared-amplitude threshold below which terms are dropped;
+            finite and positive.
 
     Raises:
         ZeroState: no term survives pruning.
         IncompatibleStates: kets differ in photon count or mix conventions.
-        ValueError: an amplitude is NaN, the squared norm exceeds 1 (an
-            infinite amplitude does), or a term occupies a mode missing from
-            ``modes``.
+        ValueError: ``prune_eps`` is not finite and positive, an amplitude
+            is NaN, the squared norm exceeds 1 (an infinite amplitude does),
+            or a term occupies a mode missing from ``modes``.
     """
 
     __slots__ = ("_terms", "_norm2", "modes", "prune_eps", "photon_count", "uses_polarization")
@@ -195,6 +196,9 @@ class PureState:
         modes: Iterable[ModeLabel] | None = None,
         prune_eps: float = DEFAULT_PRUNE_EPS,
     ) -> None:
+        prune_eps = float(prune_eps)
+        if not 0.0 < prune_eps < math.inf:
+            raise ValueError(f"prune_eps must be finite and positive, got {prune_eps}")
         registry = None if modes is None else frozenset(modes)
         kept: dict[Ket, complex] = {}
         n2 = 0.0
@@ -206,7 +210,7 @@ class PureState:
             m2 = a.real * a.real + a.imag * a.imag
             if not m2 >= prune_eps:
                 if not m2 < prune_eps:
-                    raise ValueError(f"amplitude {a} at {ket} or prune_eps {prune_eps} is NaN")
+                    raise ValueError(f"amplitude {a} at {ket} is NaN")
                 continue
             kept[ket] = a
             n2 += m2
@@ -234,11 +238,14 @@ class PureState:
         _set(self, "_terms", kept)
         _set(self, "_norm2", n2)
         _set(self, "modes", registry)
-        _set(self, "prune_eps", float(prune_eps))
+        _set(self, "prune_eps", prune_eps)
         _set(self, "photon_count", count)
         _set(self, "uses_polarization", hv_used)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PureState is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PureState is immutable")
 
     @property

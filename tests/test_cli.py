@@ -12,7 +12,8 @@ from wecp import cli
 from wecp.cli import RunConfig, cmd_compare, cmd_run, cmd_verify, main
 from wecp.protocols import RunReport
 
-GOLDEN = Path(__file__).parent / "data" / "compare_points3.csv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "compare_points3.csv"
 
 
 def run_main(capsys, argv):
@@ -75,6 +76,28 @@ def test_run_with_phases(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    ("run_single_photon.txt",
+     ["--protocol", "single-photon", "--coeffs2", "0.5,0.3,0.2"]),
+    ("run_polarization.json",
+     ["--protocol", "polarization", "--coeffs2", "0.5,0.3,0.2", "--format", "json"]),
+    ("run_single_photon_phases.txt",
+     ["--protocol", "single-photon", "--coeffs2", "0.5,0.3,0.2", "--phases", "1.5708,0,0"]),
+    ("run_polarization_phases.txt",
+     ["--protocol", "polarization", "--coeffs2", "0.1,0.4,0.2,0.3",
+      "--phases=0.3,-1,2,0.5"]),
+    ("run_polarization_phases.csv",
+     ["--protocol", "polarization", "--coeffs2", "0.1,0.4,0.2,0.3",
+      "--phases=0.3,-1,2,0.5", "--format", "csv"]),
+])
+def test_run_golden_bytes(capsys, fixture, argv):
+    # The text fixtures pin the "step party=... t=..." lines, which are read
+    # from the steps the run itself executed.
+    code, out, _ = run_main(capsys, ["run", *argv])
+    assert code == 0
+    assert out.encode() == (DATA / fixture).read_bytes()
 
 
 def test_run_invalid_coefficients_exit_2(capsys):

@@ -326,6 +326,45 @@ def test_permuted_coefficients_permute_the_plan():
     assert plan.steps[0].vbs.input == "b1"
 
 
+SHARED_STEMS = ("x2", "x1", "y")
+
+
+@pytest.mark.parametrize("driver", [run_single_photon_ecp, run_polarization_ecp])
+@pytest.mark.parametrize("shared_stems", [False, True])
+@given(data=st.data())
+def test_report_steps_are_the_executed_plan(driver, shared_stems, data):
+    n = len(SHARED_STEMS) if shared_stems else data.draw(st.integers(2, 6))
+    weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    c = coeffs(*(w / total for w in weights))
+    labels = SHARED_STEMS if shared_stems else default_party_labels(c.n)
+    report = driver(c, labels)
+    plan = plan_transmittances(c, labels)
+    assert plan.steps == run_single_photon_ecp(c, labels).steps
+    assert [(s.party, s.transmittance) for s in report.steps] == [
+        (s.party, s.transmittance) for s in plan.steps]
+    assert len(report.steps) == len(report.step_probs)
+
+    # every VBS output is a new label, used once
+    outputs = [m for s in report.steps for m in (s.vbs.out_transmit, s.vbs.out_reflect)]
+    assert len(set(outputs)) == len(outputs)
+    assert not set(outputs) & set(labels)
+    assert all(s.detector == s.vbs.out_reflect for s in report.steps)
+
+    # no photon ends on a mode that a step consumed or post-selected dark
+    consumed = {m for s in report.steps for m in (labels[s.party], s.vbs.input, s.detector)}
+    occupied = {m for ket in report.final_state.terms for m in ket.modes}
+    assert not consumed & occupied
+
+
+def test_shared_stem_labels_never_reuse_a_consumed_mode():
+    report = run_single_photon_ecp(coeffs(*EXAMPLE), SHARED_STEMS)
+    assert [(s.vbs.input, s.vbs.out_transmit, s.detector) for s in report.steps] == [
+        ("x2", "x3", "x4"), ("x1", "x5", "x6")]
+    occupied = {m for ket in report.final_state.terms for m in ket.modes}
+    assert occupied == {"x3", "x5", "y"}
+
+
 def test_custom_labels():
     c = coeffs(*EXAMPLE)
     report = run_single_photon_ecp(c, labels=("alice", "bob", "carol"))

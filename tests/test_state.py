@@ -200,6 +200,14 @@ def test_prune_drops_negligible_terms():
     assert set(s2.terms) == {single("a1")}
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_prune_eps_must_be_finite_and_positive(eps):
+    # a non-positive threshold would keep zero terms; a NaN one is not an amplitude fault
+    with pytest.raises(ValueError, match="prune_eps") as info:
+        PureState({single("a1"): 0.0, single("b1"): 1.0}, prune_eps=eps)
+    assert not isinstance(info.value, ZeroState)
+
+
 def test_all_pruned_raises_zerostate():
     with pytest.raises(ZeroState):
         PureState({single("a1"): 1e-9}, prune_eps=1e-12)
@@ -219,6 +227,10 @@ def test_state_is_immutable():
     s = w3(INV_SQRT3, INV_SQRT3, INV_SQRT3)
     with pytest.raises(AttributeError):
         s.prune_eps = 0.0
+    for name in ("prune_eps", "modes", "photon_count"):
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        getattr(s, name)
     with pytest.raises(TypeError):
         s.terms[single("a1")] = 1.0
 
