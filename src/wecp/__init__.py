@@ -33,12 +33,10 @@ from .optics import (
 from .protocols import (
     BadCoefficients,
     PlanStep,
-    ProtocolPlan,
     RunReport,
     WCoefficients,
     analytic_total_probability,
     default_party_labels,
-    plan_transmittances,
     run_polarization_ecp,
     run_single_photon_ecp,
     target_w_state,
@@ -48,10 +46,7 @@ from .protocols import (
 from .comparison import (
     DomainError,
     PriorEcpParams,
-    SweepRow,
-    SweepTable,
     default_alpha_grid,
-    figure3_sweep,
     prior_step1_prob,
     prior_step2_prob,
     prior_total_prob,
@@ -74,11 +69,8 @@ __all__ = [
     "PlanStep",
     "Polarization",
     "PriorEcpParams",
-    "ProtocolPlan",
     "PureState",
     "RunReport",
-    "SweepRow",
-    "SweepTable",
     "UnknownMode",
     "VbsSetting",
     "WCoefficients",
@@ -91,11 +83,9 @@ __all__ = [
     "default_party_labels",
     "detect_vacuum",
     "fidelity",
-    "figure3_sweep",
     "fresh_label",
     "normalize",
     "norm_squared",
-    "plan_transmittances",
     "prior_step1_prob",
     "prior_step2_prob",
     "prior_total_prob",

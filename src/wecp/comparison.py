@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .protocols import WCoefficients, analytic_total_probability
+from .protocols import BadCoefficients, WCoefficients, analytic_total_probability
 
 FIG_BETA = 1.0 / math.sqrt(3.0)
 ALPHA_LO = math.sqrt(1.0 / 3.0)
@@ -52,25 +52,6 @@ class PriorEcpParams:
             raise DomainError(f"squared moduli sum to {total}, not 1")
         if self.iterations_step1 < 1 or self.iterations_step2 < 1:
             raise DomainError("round caps must be positive")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    curve: str
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.probability <= 1.0):
-            raise DomainError(f"probability {self.probability} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-
-    def curve(self, curve_id: str) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if r.curve == curve_id)
 
 
 def _chain(x2: float, y2: float, n: int) -> tuple[float, float, float]:
@@ -153,14 +134,16 @@ def sweep_point(
     closed form.
 
     Raises:
-        DomainError: gamma^2 <= 0 at this alpha, or the strict ordering
-            alpha > beta > gamma fails.
+        DomainError: gamma^2 at this alpha is small enough for the state to
+            prune, or the strict ordering alpha > beta > gamma fails.
     """
     caps = DEFAULT_CAPS if caps_per_curve is None else caps_per_curve
     beta = FIG_BETA
     gamma2 = 1.0 - alpha * alpha - beta * beta
-    if gamma2 <= 0.0:
-        raise DomainError(f"alpha = {alpha} leaves no weight for gamma")
+    try:
+        coeffs = WCoefficients.from_squared((alpha * alpha, beta * beta, gamma2))
+    except BadCoefficients as exc:
+        raise DomainError(f"alpha = {alpha} leaves no weight for gamma") from exc
     gamma = math.sqrt(gamma2)
     if not (alpha > beta > gamma):
         raise DomainError(f"alpha = {alpha} violates the strict coefficient ordering")
@@ -170,24 +153,6 @@ def sweep_point(
         params = PriorEcpParams(alpha, beta, gamma,
                                 iterations_step1=cap1, iterations_step2=cap2)
         values[label] = prior_total_prob(params)
-    coeffs = WCoefficients.from_squared((alpha * alpha, beta * beta, gamma2))
     values[_current_curve_label(caps)] = analytic_total_probability(coeffs)
     return values
 
-
-def figure3_sweep(
-    alpha_grid: Sequence[float] | None = None,
-    caps_per_curve: Mapping[str, tuple[int, int]] | None = None,
-) -> SweepTable:
-    """Four-curve comparison table over the alpha grid.
-
-    Rows are ordered by grid position, then curve label. Any grid alpha
-    outside the admissible open interval raises DomainError; callers that
-    prefer skipping bad points should iterate ``sweep_point`` themselves.
-    """
-    grid = default_alpha_grid() if alpha_grid is None else tuple(alpha_grid)
-    rows = []
-    for alpha in grid:
-        for label, prob in sorted(sweep_point(alpha, caps_per_curve).items()):
-            rows.append(SweepRow(alpha=alpha, curve=label, probability=prob))
-    return SweepTable(rows=tuple(rows))

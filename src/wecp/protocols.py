@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 from .optics import PbsWiring, VbsSetting, apply_pbs, apply_vbs, detect_vacuum
 from .state import (
+    DEFAULT_PRUNE_EPS,
     Ket,
     ModeLabel,
     Polarization,
@@ -30,10 +31,14 @@ from .state import (
 )
 
 _TIE_EPS = 1e-12
+# Each stepped party's kept amplitude is rebuilt as |a_i| sqrt(t_i), a few ulps
+# off |a_min|, so a weight just above the pruning threshold could be pruned mid-run.
+_MIN_WEIGHT = DEFAULT_PRUNE_EPS * (1.0 + 1e-12)
 
 
 class BadCoefficients(ValueError):
-    """Coefficient vector is unnormalized, too short, non-finite, or has a zero entry."""
+    """Coefficient vector is unnormalized, too short, non-finite, or has an entry
+    small enough for the state to prune."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,9 @@ class WCoefficients:
     """Ordered coefficients a_1..a_N of a W-state superposition.
 
     Complex entries are accepted; the circuits only ever consume the moduli,
-    and phases ride along unchanged into the concentrated state.
+    and phases ride along unchanged into the concentrated state. Squared
+    moduli must sum to 1 within 1e-9; the amplitudes are then rescaled to unit
+    norm, so the closed forms describe the same state the circuits simulate.
     """
 
     amps: tuple[complex, ...]
@@ -52,11 +59,15 @@ class WCoefficients:
             raise BadCoefficients("need at least two coefficients")
         if not all(map(cmath.isfinite, amps)):
             raise BadCoefficients(f"coefficients must be finite: {amps}")
-        if any(abs(a) == 0.0 for a in amps):
-            raise BadCoefficients("zero coefficients are rejected; drop the party instead")
         total = sum(abs(a) ** 2 for a in amps)
         if abs(total - 1.0) > 1e-9:
             raise BadCoefficients(f"squared moduli sum to {total}, not 1")
+        norm = math.sqrt(total)
+        amps = tuple(a / norm for a in amps)
+        # PureState would prune such a party's term, so the run would lose it
+        if any(a.real * a.real + a.imag * a.imag <= _MIN_WEIGHT for a in amps):
+            raise BadCoefficients(
+                f"squared moduli must exceed {_MIN_WEIGHT:.13g}; drop the party instead")
         object.__setattr__(self, "amps", amps)
 
     @classmethod
@@ -87,11 +98,6 @@ class WCoefficients:
     def moduli_squared(self) -> tuple[float, ...]:
         return tuple(abs(a) ** 2 for a in self.amps)
 
-    @property
-    def min_index(self) -> int:
-        m2 = self.moduli_squared
-        return m2.index(min(m2))
-
 
 @dataclass(frozen=True)
 class PlanStep:
@@ -101,14 +107,6 @@ class PlanStep:
     transmittance: float
     vbs: VbsSetting
     detector: ModeLabel
-
-
-@dataclass(frozen=True)
-class ProtocolPlan:
-    """Ordered per-party VBS settings, largest coefficient first."""
-
-    steps: tuple[PlanStep, ...]
-    min_index: int
 
 
 @dataclass(frozen=True)
@@ -216,18 +214,6 @@ def _schedule(
         mn = min(m2)
         return [(i, mn / m2[i]) for i in order if mn / m2[i] < 1.0 - _TIE_EPS]
     return [(i, float(transmittances[i])) for i in order if i in transmittances]
-
-
-def plan_transmittances(
-    c: WCoefficients, labels: Sequence[ModeLabel] | None = None
-) -> ProtocolPlan:
-    """Optimal per-party VBS plan for the single-photon circuit.
-
-    Every party whose modulus exceeds the smallest one gets a step with
-    t_i = |a_min|^2 / |a_i|^2; ties with the minimum need no step. Steps are
-    ordered by descending modulus.
-    """
-    return ProtocolPlan(run_single_photon_ecp(c, labels).steps, c.min_index)
 
 
 def _run(

@@ -123,6 +123,50 @@ def test_run_nan_coefficient_exit_2(capsys):
     assert json.loads(err)["error"] == "BadCoefficients"
 
 
+COMMANDS = [
+    ["run", "--protocol", "single-photon", "--format", "json"],
+    ["run", "--protocol", "polarization", "--format", "json"],
+    ["verify", "--trials", "1", "--seed", "0"],
+]
+COMMAND_IDS = ["single-photon", "polarization", "verify"]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+@pytest.mark.parametrize("weight", ["1e-20", "1e-16", "1e-15"])
+def test_weight_at_or_below_pruning_threshold_exit_2(capsys, command, weight):
+    # the state would prune this party's term, so the run could not answer
+    code, out, err = run_main(capsys, command + ["--coeffs2", f"{weight},0.3,0.7"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BadCoefficients"
+
+
+def assert_answered(command, code, out):
+    assert code == 0
+    payload = json.loads(out)
+    if command[0] == "run":
+        assert payload["total_prob"] == pytest.approx(payload["analytic_prob"], abs=1e-10)
+        assert payload["fidelity"] == pytest.approx(1.0, abs=1e-10)
+    else:
+        assert payload["failures"] == []
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+@pytest.mark.parametrize("weight", ["1.01e-15", "1e-14"])
+def test_weight_just_above_pruning_threshold_is_answered(capsys, command, weight):
+    code, out, _ = run_main(capsys, command + ["--coeffs2", f"{weight},0.3,0.7"])
+    assert_answered(command, code, out)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+@pytest.mark.parametrize("coeffs2", ["0.5,0.3,0.2000000009", "0.5,0.3,0.1999999991"])
+def test_input_within_sum_tolerance_matches_closed_form(capsys, command, coeffs2):
+    # accepted within the 1e-9 sum tolerance, so the closed form must use the
+    # normalized moduli, as the simulated state does
+    code, out, _ = run_main(capsys, command + ["--coeffs2", coeffs2])
+    assert_answered(command, code, out)
+
+
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"])
 
 

@@ -10,7 +10,6 @@ from wecp.comparison import (
     DomainError,
     PriorEcpParams,
     default_alpha_grid,
-    figure3_sweep,
     prior_step1_prob,
     prior_step2_prob,
     prior_total_prob,
@@ -169,9 +168,12 @@ def test_default_grid_shape():
 
 
 def test_sweep_point_curves_ordered():
-    values = sweep_point(0.65)
-    assert set(values) == {"A", "B", "C", "D"}
-    assert values["A"] <= values["B"] <= values["C"] <= values["D"] + 1e-9
+    for alpha in (0.65, *default_alpha_grid(20)):
+        values = sweep_point(alpha)
+        assert set(values) == {"A", "B", "C", "D"}
+        assert values["A"] <= values["B"] <= values["C"] <= values["D"] + 1e-9
+        g2 = 1.0 - alpha ** 2 - THIRD
+        assert values["D"] == pytest.approx(3.0 * g2, abs=1e-12)
 
 
 def test_sweep_point_domain_errors():
@@ -181,21 +183,8 @@ def test_sweep_point_domain_errors():
         sweep_point(ALPHA_HI)  # gamma hits zero
     with pytest.raises(DomainError):
         sweep_point(0.9)
-
-
-def test_figure3_sweep_table():
-    table = figure3_sweep(alpha_grid=default_alpha_grid(20))
-    assert len(table.rows) == 20 * 4
-    d_rows = table.curve("D")
-    assert len(d_rows) == 20
-    for row in d_rows:
-        g2 = 1.0 - row.alpha ** 2 - THIRD
-        assert row.probability == pytest.approx(3.0 * g2, abs=1e-12)
-
-
-def test_figure3_sweep_rejects_bad_grid():
-    with pytest.raises(DomainError):
-        figure3_sweep(alpha_grid=[0.65, 0.9])
+    with pytest.raises(DomainError, match="no weight for gamma"):
+        sweep_point(math.nextafter(ALPHA_HI, 0))  # gamma^2 ~ 5.6e-17, below pruning
 
 
 def test_custom_caps_relabel_current_curve():

@@ -11,14 +11,13 @@ from wecp.protocols import (
     WCoefficients,
     analytic_total_probability,
     default_party_labels,
-    plan_transmittances,
     run_polarization_ecp,
     run_single_photon_ecp,
     target_w_state,
     w_state_polarization,
     w_state_single_photon,
 )
-from wecp.state import Polarization, fidelity, norm_squared
+from wecp.state import DEFAULT_PRUNE_EPS, Polarization, fidelity, norm_squared
 
 EXAMPLE = (0.5, 0.3, 0.2)
 
@@ -59,9 +58,26 @@ def test_coefficients_reject_non_finite(bad):
         WCoefficients((complex(0.6, bad), 0.8))
 
 
-def test_coefficients_min_index():
-    assert coeffs(*EXAMPLE).min_index == 2
-    assert coeffs(0.2, 0.5, 0.3).min_index == 0
+@pytest.mark.parametrize("driver", [run_single_photon_ecp, run_polarization_ecp])
+@given(ulps=st.integers(0, 64),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+       with_phases=st.booleans(), data=st.data())
+def test_weight_near_pruning_threshold_is_rejected_or_answered(
+        driver, ulps, weights, with_phases, data):
+    # no party may be accepted and then lose its term to pruning mid-run
+    m = DEFAULT_PRUNE_EPS
+    for _ in range(ulps):
+        m = math.nextafter(m, 1.0)
+    total = sum(weights)
+    m2 = (m, *((1.0 - m) * w / total for w in weights))
+    phases = [data.draw(st.floats(0.0, 6.3)) for _ in m2] if with_phases else None
+    try:
+        c = coeffs(*m2, phases=phases)
+    except BadCoefficients:
+        return
+    report = driver(c)
+    assert report.total_prob == pytest.approx(analytic_total_probability(c), abs=1e-10)
+    assert report.fidelity_to_target > 1.0 - 1e-10
 
 
 # --- state builders ------------------------------------------------------
@@ -105,22 +121,21 @@ def test_party_labels_deterministic():
 # --- planner -------------------------------------------------------------
 
 def test_plan_example_instance():
-    plan = plan_transmittances(coeffs(*EXAMPLE))
+    plan = run_single_photon_ecp(coeffs(*EXAMPLE))
     assert [(s.party, s.transmittance) for s in plan.steps] == [
         (0, pytest.approx(0.4, abs=1e-12)),
         (1, pytest.approx(0.2 / 0.3, abs=1e-12)),
     ]
-    assert plan.min_index == 2
     assert plan.steps[0].vbs.input == "a1"
     assert plan.steps[0].detector == plan.steps[0].vbs.out_reflect
 
 
 def test_plan_equal_coefficients_is_empty():
-    assert plan_transmittances(coeffs(1 / 3, 1 / 3, 1 / 3)).steps == ()
+    assert run_single_photon_ecp(coeffs(1 / 3, 1 / 3, 1 / 3)).steps == ()
 
 
 def test_plan_skips_ties_with_minimum():
-    plan = plan_transmittances(coeffs(0.5, 0.25, 0.25))
+    plan = run_single_photon_ecp(coeffs(0.5, 0.25, 0.25))
     assert [s.party for s in plan.steps] == [0]
 
 
@@ -128,7 +143,7 @@ def test_plan_skips_ties_with_minimum():
 def test_plan_matches_ratio_rule(weights):
     total = sum(weights)
     m2 = tuple(w / total for w in weights)
-    plan = plan_transmittances(coeffs(*m2))
+    plan = run_single_photon_ecp(coeffs(*m2))
     mn = min(m2)
     for step in plan.steps:
         assert step.transmittance == pytest.approx(mn / m2[step.party], abs=1e-12)
@@ -157,7 +172,7 @@ def test_plan_against_grid_search_oracle():
                             prob.shape)
 
     analytic = analytic_total_probability(coeffs(*EXAMPLE))
-    plan = plan_transmittances(coeffs(*EXAMPLE))
+    plan = run_single_photon_ecp(coeffs(*EXAMPLE))
     planned = {s.party: s.transmittance for s in plan.steps}
     # constrained brute-force optimum agrees with the planner's probability;
     # the fidelity band admits probability excursions of order 3e-3 here
@@ -321,7 +336,7 @@ def test_total_probability_order_invariant(perm):
 
 
 def test_permuted_coefficients_permute_the_plan():
-    plan = plan_transmittances(coeffs(0.2, 0.5, 0.3))
+    plan = run_single_photon_ecp(coeffs(0.2, 0.5, 0.3))
     assert [s.party for s in plan.steps] == [1, 2]
     assert plan.steps[0].vbs.input == "b1"
 
@@ -339,7 +354,7 @@ def test_report_steps_are_the_executed_plan(driver, shared_stems, data):
     c = coeffs(*(w / total for w in weights))
     labels = SHARED_STEMS if shared_stems else default_party_labels(c.n)
     report = driver(c, labels)
-    plan = plan_transmittances(c, labels)
+    plan = run_single_photon_ecp(c, labels)
     assert plan.steps == run_single_photon_ecp(c, labels).steps
     assert [(s.party, s.transmittance) for s in report.steps] == [
         (s.party, s.transmittance) for s in plan.steps]
@@ -381,7 +396,7 @@ def test_duplicate_labels_rejected():
 def test_transmittance_overrides_reach_suboptimal_points():
     c = coeffs(*EXAMPLE)
     # optimal settings via overrides reproduce the planned run exactly
-    planned = {s.party: s.transmittance for s in plan_transmittances(c).steps}
+    planned = {s.party: s.transmittance for s in run_single_photon_ecp(c).steps}
     report = run_single_photon_ecp(c, transmittances=planned)
     assert report.total_prob == pytest.approx(0.6, abs=1e-12)
     assert report.fidelity_to_target >= 1.0 - 1e-10
