@@ -17,7 +17,6 @@ from .state import (
     fidelity,
     fresh_label,
     norm_squared,
-    normalize,
 )
 from .optics import (
     BadTransmittance,
@@ -84,7 +83,6 @@ __all__ = [
     "detect_vacuum",
     "fidelity",
     "fresh_label",
-    "normalize",
     "norm_squared",
     "prior_step1_prob",
     "prior_step2_prob",

@@ -11,13 +11,17 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
-from dataclasses import dataclass
-from typing import NoReturn, Sequence, TextIO
+from typing import Callable, NoReturn, Sequence, TextIO
 
-import numpy as np
-
-from .comparison import DomainError, default_alpha_grid, sweep_point
+from .comparison import (
+    DEFAULT_CAPS,
+    DEFAULT_GRID_POINTS,
+    DomainError,
+    default_alpha_grid,
+    sweep_point,
+)
 from .protocols import (
     BadCoefficients,
     WCoefficients,
@@ -33,16 +37,6 @@ _DRIVERS = {
     "single-photon": run_single_photon_ecp,
     "polarization": run_polarization_ecp,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One protocol invocation: which circuit, which coefficients, how to print."""
-
-    protocol: str
-    coeffs2: tuple[float, ...]
-    phases: tuple[float, ...] | None = None
-    output_format: str = "text"
 
 
 class UsageError(ValueError):
@@ -74,42 +68,48 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise BadCoefficients(f"cannot parse number list {text!r}") from exc
 
 
-def cmd_run(config: RunConfig, out: TextIO | None = None) -> int:
+def cmd_run(
+    protocol: str,
+    coeffs2: tuple[float, ...],
+    phases: tuple[float, ...] | None = None,
+    output_format: str = "text",
+    out: TextIO | None = None,
+) -> int:
     """Run one protocol and report step, total, and analytic probabilities."""
     out = out if out is not None else sys.stdout
     try:
-        coeffs = WCoefficients.from_squared(config.coeffs2, config.phases)
-        driver = _DRIVERS[config.protocol]
+        coeffs = WCoefficients.from_squared(coeffs2, phases)
+        driver = _DRIVERS[protocol]
     except (ValueError, KeyError) as exc:
         return _fail_validation(exc)
 
     report = driver(coeffs)
     analytic = analytic_total_probability(coeffs)
     payload = {
-        "protocol": config.protocol,
-        "coeffs2": list(config.coeffs2),
-        "phases": list(config.phases) if config.phases else None,
+        "protocol": protocol,
+        "coeffs2": list(coeffs2),
+        "phases": list(phases) if phases else None,
         "step_probs": list(report.step_probs),
         "total_prob": report.total_prob,
         "analytic_prob": analytic,
         "fidelity": report.fidelity_to_target,
     }
 
-    if config.output_format == "json":
+    if output_format == "json":
         json.dump(payload, out, indent=2)
         out.write("\n")
-    elif config.output_format == "csv":
+    elif output_format == "csv":
         out.write("field,value\n")
-        out.write(f"protocol,{config.protocol}\n")
-        out.write(f"coeffs2,{';'.join(_fmt(x) for x in config.coeffs2)}\n")
+        out.write(f"protocol,{protocol}\n")
+        out.write(f"coeffs2,{';'.join(_fmt(x) for x in coeffs2)}\n")
         for i, p in enumerate(report.step_probs, start=1):
             out.write(f"step_prob_{i},{_fmt(p)}\n")
         out.write(f"total_prob,{_fmt(report.total_prob)}\n")
         out.write(f"analytic_prob,{_fmt(analytic)}\n")
         out.write(f"fidelity,{_fmt(report.fidelity_to_target)}\n")
     else:
-        out.write(f"protocol: {config.protocol}\n")
-        out.write(f"coeffs2: {' '.join(_fmt(x) for x in config.coeffs2)}\n")
+        out.write(f"protocol: {protocol}\n")
+        out.write(f"coeffs2: {' '.join(_fmt(x) for x in coeffs2)}\n")
         for step, p in zip(report.steps, report.step_probs):
             out.write(
                 f"step party={step.party + 1} t={_fmt(step.transmittance)}"
@@ -154,13 +154,24 @@ def cmd_compare(
     return 0
 
 
-def _sample_coefficients(rng: np.random.Generator, n: int) -> WCoefficients:
+def _sample_coefficients(rng: random.Random, n: int) -> WCoefficients:
+    # Dirichlet(1, ..., 1): n unit-rate exponential draws over their sum.
     while True:
-        c2 = rng.dirichlet(np.ones(n))
+        draws = [rng.expovariate(1.0) for _ in range(n)]
+        total = sum(draws)
+        c2 = tuple(x / total for x in draws)
         if min(c2) >= 1e-12:
             break
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return WCoefficients.from_squared(tuple(c2), tuple(phases))
+    phases = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+    return WCoefficients.from_squared(c2, phases)
+
+
+def _worst(values: Sequence[float], pick: Callable[[Sequence[float]], float]) -> float:
+    """``pick`` (max or min) of ``values``, or NaN if any value is NaN.
+
+    The builtins alone would drop a NaN, depending on where it falls.
+    """
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
 
 
 def cmd_verify(
@@ -184,13 +195,13 @@ def cmd_verify(
     except ValueError as exc:
         return _fail_validation(exc)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     errors, fids, failures = [], [], []
     for _ in range(trials):
         if forced is not None:
             coeffs = forced
         else:
-            coeffs = _sample_coefficients(rng, int(rng.integers(lo, hi + 1)))
+            coeffs = _sample_coefficients(rng, rng.randint(lo, hi))
         analytic = analytic_total_probability(coeffs)
         for name, driver in _DRIVERS.items():
             report = driver(coeffs)
@@ -210,9 +221,8 @@ def cmd_verify(
         "trials": trials,
         "n_range": list(n_range),
         "seed": seed,
-        # np.max / np.min propagate NaN where the builtins would drop it.
-        "max_abs_error": float(np.max(errors)),
-        "min_fidelity": float(np.min(fids)),
+        "max_abs_error": _worst(errors, max),
+        "min_fidelity": _worst(fids, min),
         "failures": failures,
     }
     json.dump(summary, out, indent=2)
@@ -237,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("text", "json", "csv"))
 
     p_cmp = sub.add_parser("compare", help="emit the four-curve sweep as CSV")
-    p_cmp.add_argument("--points", type=int, default=200)
-    p_cmp.add_argument("--caps", nargs="+", default=["1,1", "3,3", "5,5"],
+    p_cmp.add_argument("--points", type=int, default=DEFAULT_GRID_POINTS)
+    p_cmp.add_argument("--caps", nargs="+",
+                       default=[f"{a},{b}" for a, b in DEFAULT_CAPS.values()],
                        help="round-cap pairs for the baseline curves, e.g. 1,1 3,3 5,5")
 
     p_ver = sub.add_parser("verify", help="randomized check against the closed forms")
@@ -260,13 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             phases = _parse_floats(args.phases) if args.phases else None
         except BadCoefficients as exc:
             return _fail_validation(exc)
-        config = RunConfig(
-            protocol=args.protocol,
-            coeffs2=coeffs2,
-            phases=phases,
-            output_format=args.output_format,
-        )
-        return cmd_run(config)
+        return cmd_run(args.protocol, coeffs2, phases, args.output_format)
     if args.command == "compare":
         try:
             caps = tuple(

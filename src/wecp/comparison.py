@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Mapping
 
 from .protocols import BadCoefficients, WCoefficients, analytic_total_probability
@@ -97,10 +98,15 @@ def prior_total_prob(p: PriorEcpParams) -> float:
     The exact total sums both series to infinity; the doubly exponential
     exponents make the default caps of 25 agree with the limit to well below
     1e-3 everywhere on the sweep domain.
+
+    Round probabilities never increase with the round index (``s_pow`` only
+    shrinks and ``prod`` only grows), so once a round is exactly 0.0 every
+    later round is too, and each series stops there: the zero rounds would
+    not change the sum, and skipping them bounds the cost for any cap.
     """
-    s1 = sum(prior_step1_prob(p, n) for n in range(1, p.iterations_step1 + 1))
-    s2 = sum(prior_step2_prob(p, m) for m in range(1, p.iterations_step2 + 1))
-    return s1 * s2
+    rounds1 = (prior_step1_prob(p, n) for n in range(1, p.iterations_step1 + 1))
+    rounds2 = (prior_step2_prob(p, m) for m in range(1, p.iterations_step2 + 1))
+    return sum(takewhile(bool, rounds1), 0.0) * sum(takewhile(bool, rounds2), 0.0)
 
 
 def _current_curve_label(caps: Mapping[str, tuple[int, int]]) -> str:

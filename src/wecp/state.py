@@ -260,12 +260,6 @@ class PureState:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def isclose(self, other: "PureState", atol: float = 1e-12) -> bool:
-        """Term-by-term amplitude agreement within ``atol``."""
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(abs(a - other._terms[k]) <= atol for k, a in self._terms.items())
-
     def __repr__(self) -> str:
         ordered = sorted(self._terms.items(), key=lambda kv: _ket_key(kv[0]))
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
@@ -278,19 +272,6 @@ def norm_squared(state: PureState) -> float:
     Summed once, while the state was validated.
     """
     return state._norm2
-
-
-def normalize(state: PureState) -> PureState:
-    """Rescale to unit norm; amplitude ratios are untouched (global scale only)."""
-    n2 = norm_squared(state)
-    if n2 <= state.prune_eps:
-        raise ZeroState(f"cannot normalize state with squared norm {n2}")
-    scale = 1.0 / math.sqrt(n2)
-    return PureState(
-        {k: a * scale for k, a in state.terms.items()},
-        modes=state.modes,
-        prune_eps=state.prune_eps,
-    )
 
 
 def fidelity(a: PureState, b: PureState) -> float:

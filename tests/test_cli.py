@@ -3,13 +3,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wecp
 from wecp import cli
-from wecp.cli import RunConfig, cmd_compare, cmd_run, cmd_verify, main
+from wecp.cli import cmd_compare, cmd_run, cmd_verify, main
 from wecp.protocols import RunReport
 
 DATA = Path(__file__).parent / "data"
@@ -184,11 +188,9 @@ def test_run_any_non_finite_number_exit_2(token, position, in_phases):
     assert json.loads(err.getvalue())["error"] == "BadCoefficients"
 
 
-def test_cmd_run_accepts_config_object():
+def test_cmd_run_direct():
     buf = io.StringIO()
-    config = RunConfig(protocol="polarization", coeffs2=(0.5, 0.3, 0.2),
-                       output_format="json")
-    assert cmd_run(config, out=buf) == 0
+    assert cmd_run("polarization", (0.5, 0.3, 0.2), output_format="json", out=buf) == 0
     assert json.loads(buf.getvalue())["protocol"] == "polarization"
 
 
@@ -348,3 +350,43 @@ def test_cmd_verify_direct():
     code = cmd_verify(trials=5, n_range=(2, 4), seed=1, out=buf)
     assert code == 0
     assert json.loads(buf.getvalue())["trials"] == 5
+
+
+def test_verify_samples_valid_instances(monkeypatch):
+    # The sampler covers every N in the range and draws unit-norm moduli
+    # above the 1e-12 floor.
+    seen = []
+    for name, driver in list(cli._DRIVERS.items()):
+        def recording(c, driver=driver):
+            seen.append(c)
+            return driver(c)
+        monkeypatch.setitem(cli._DRIVERS, name, recording)
+    assert cmd_verify(trials=200, n_range=(2, 4), seed=11, out=io.StringIO()) == 0
+    assert {len(c.amps) for c in seen} == {2, 3, 4}
+    for c in seen:
+        m2 = [abs(a) ** 2 for a in c.amps]
+        assert abs(sum(m2) - 1.0) <= 1e-12
+        assert min(m2) >= 1e-12
+
+
+# --- runtime dependencies ------------------------------------------------------
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+import wecp, wecp.cli
+argvs = (["run", "--protocol", "polarization", "--coeffs2", "0.5,0.3,0.2"],
+         ["compare", "--points", "3"],
+         ["verify", "--trials", "5", "--seed", "0"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [wecp.cli.main(argv) for argv in argvs]
+if codes != [0, 0, 0] or "numpy" in sys.modules:
+    sys.exit(f"exit codes {codes}, numpy imported: {'numpy' in sys.modules}")
+"""
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    # A fresh interpreter, so no module the test suite imported is loaded.
+    env = {**os.environ, "PYTHONPATH": str(Path(wecp.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

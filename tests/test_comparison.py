@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wecp import comparison
 from wecp.comparison import (
     ALPHA_HI,
     ALPHA_LO,
@@ -155,6 +156,38 @@ def test_capped_total_close_to_limit_on_grid():
         g2 = 1.0 - alpha * alpha - THIRD
         total = prior_total_prob(params(alpha * alpha, THIRD, g2))
         assert total == pytest.approx(3.0 * g2, abs=1e-3)
+
+
+def test_total_equals_full_series_sum():
+    # Reference: the totals summed over every round up to the caps.
+    for alpha in default_alpha_grid(30):
+        g2 = 1.0 - alpha * alpha - THIRD
+        for cap1, cap2 in ((1, 1), (3, 3), (5, 5), (25, 25), (40, 7)):
+            p = params(alpha * alpha, THIRD, g2, caps=(cap1, cap2))
+            s1 = sum(prior_step1_prob(p, n) for n in range(1, cap1 + 1))
+            s2 = sum(prior_step2_prob(p, m) for m in range(1, cap2 + 1))
+            assert prior_total_prob(p) == s1 * s2
+
+
+def test_total_stops_at_first_zero_round(monkeypatch):
+    # Rounds never increase, so each series ends at its first 0.0 round: a
+    # cap of 2000 evaluates a few dozen rounds, and its total equals the
+    # cap-100 total bit for bit.
+    calls = []
+    for name in ("prior_step1_prob", "prior_step2_prob"):
+        def counted(p, n, real=getattr(comparison, name)):
+            calls.append(n)
+            return real(p, n)
+        monkeypatch.setattr(comparison, name, counted)
+    total = sweep_point(0.7, {"A": (2000, 2000)})["A"]
+    assert len(calls) < 100
+    assert total == sweep_point(0.7, {"A": (100, 100)})["A"]
+
+
+def test_total_equal_coefficients_large_cap():
+    # Equal moduli never shrink the ratio, so the rounds reach 0.0 only once
+    # the chain product overflows; the total still converges to 3*gamma^2 = 1.
+    assert prior_total_prob(PriorEcpParams(*EQUAL, 5000, 5000)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- sweep -------------------------------------------------------------------

@@ -16,7 +16,6 @@ from wecp.state import (
     fidelity,
     fresh_label,
     norm_squared,
-    normalize,
 )
 
 H = Polarization.H
@@ -286,42 +285,6 @@ def test_norm_squared_is_sum_of_squared_moduli(amps):
         return
     expected = sum(abs(a) ** 2 for a in s.terms.values())
     assert abs(norm_squared(s) - expected) <= 1e-15 * n
-
-
-# --- normalize ----------------------------------------------------------
-
-def test_normalize_already_normalized():
-    s = w3(INV_SQRT3, INV_SQRT3, INV_SQRT3)
-    assert normalize(s).isclose(s, atol=1e-12)
-
-
-def test_normalize_removes_global_scale():
-    g = INV_SQRT3 * 0.5
-    s = normalize(w3(g, g, g))
-    for amp in s.terms.values():
-        assert amp == pytest.approx(INV_SQRT3, abs=1e-12)
-
-
-def test_normalize_equalized_two_coefficient_state():
-    # after the second splitter at t2 = gamma^2/beta^2 the three amplitudes
-    # coincide, so normalizing gives the uniform three-mode state
-    b, g = math.sqrt(0.3), math.sqrt(0.2)
-    t2 = 0.2 / 0.3
-    s = PureState({single("a2"): g, single("b2"): b * math.sqrt(t2), single("c1"): g})
-    n = normalize(s)
-    assert norm_squared(n) == pytest.approx(1.0, abs=1e-12)
-    for amp in n.terms.values():
-        assert abs(amp - INV_SQRT3) < 1e-12
-
-
-@given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
-def test_normalize_idempotent(weights):
-    total = math.sqrt(sum(w * w for w in weights))
-    terms = {single(f"m{i}"): w / total for i, w in enumerate(weights)}
-    once = normalize(PureState(terms))
-    twice = normalize(once)
-    assert twice.isclose(once, atol=1e-12)
-    assert norm_squared(once) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- fidelity -----------------------------------------------------------
