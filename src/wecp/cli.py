@@ -268,7 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         try:
             coeffs2 = _parse_floats(args.coeffs2)
-            phases = _parse_floats(args.phases) if args.phases else None
+            phases = _parse_floats(args.phases) if args.phases is not None else None
         except BadCoefficients as exc:
             return _fail_validation(exc)
         return cmd_run(args.protocol, coeffs2, phases, args.output_format)
@@ -284,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # verify
     try:
         lo, hi = (int(x) for x in args.n_range.split(","))
-        coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 else None
+        coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 is not None else None
     except (ValueError, BadCoefficients) as exc:
         return _fail_validation(exc)
     seed = args.seed

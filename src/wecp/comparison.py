@@ -15,6 +15,7 @@ admissible range of the leading coefficient.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Mapping
@@ -48,6 +49,9 @@ class PriorEcpParams:
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} = {v} must lie in (0, 1)")
+        # beta^2 divides both step formulas, so it must not underflow
+        if self.beta**2 < sys.float_info.min:
+            raise DomainError(f"beta = {self.beta} squares below the smallest normal float")
         total = self.alpha**2 + self.beta**2 + self.gamma**2
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"squared moduli sum to {total}, not 1")

@@ -45,7 +45,8 @@ class VbsSetting:
     The output amplitudes are the real pair (sqrt(t), sqrt(1-t)). A general
     2x2 beam-splitter unitary carries a relative phase on its second input
     port, but that port is vacuum in every circuit here, so this single-column
-    convention is unitary on the occupied subspace.
+    convention is unitary on the occupied subspace. All three labels must be
+    distinct: both outputs are new modes, never the input renamed.
     """
 
     input: ModeLabel
@@ -57,8 +58,9 @@ class VbsSetting:
         t = self.transmittance
         if not (0.0 <= t <= 1.0):
             raise BadTransmittance(f"transmittance {t} outside [0, 1]")
-        if self.out_transmit == self.out_reflect:
-            raise ModeCollision("VBS output modes must differ")
+        labels = [self.input, self.out_transmit, self.out_reflect]
+        if len(set(labels)) != len(labels):
+            raise ModeCollision(f"VBS labels must be distinct: {labels}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state.terms.items():
         if ket.has(s.input):
-            # move raises ModeCollision when an output other than the input is taken
+            # move raises ModeCollision when an output is taken
             kt = ket.move(s.input, s.out_transmit)
             kr = ket.move(s.input, s.out_reflect)
             new_terms[kt] = new_terms.get(kt, 0j) + amp * amp_t
@@ -119,9 +121,8 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
             new_terms[ket] = new_terms.get(ket, 0j) + amp
 
     modes = set(state.modes) | {s.out_transmit, s.out_reflect}
-    if s.input not in (s.out_transmit, s.out_reflect):
-        modes.discard(s.input)  # input port is consumed by the element
-    return PureState(new_terms, modes=modes, prune_eps=state.prune_eps)
+    modes.discard(s.input)  # input port is consumed by the element
+    return PureState(new_terms, modes=modes)
 
 
 def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
@@ -152,7 +153,7 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     modes.discard(w.in_a)
     if w.in_b is not None:
         modes.discard(w.in_b)
-    return PureState(new_terms, modes=modes, prune_eps=state.prune_eps)
+    return PureState(new_terms, modes=modes)
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
@@ -172,6 +173,6 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     kept = {ket: amp for ket, amp in state.terms.items() if not ket.has(mode)}
     if not kept:
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    kept_state = PureState(kept, modes=state.modes, prune_eps=state.prune_eps)
+    kept_state = PureState(kept, modes=state.modes)
     probability = norm_squared(kept_state) / norm_squared(state)
     return BranchOutcome(kept_state=kept_state, probability=probability)

@@ -11,7 +11,6 @@ renormalizes implicitly, so branch probabilities stay auditable step by step.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
@@ -133,8 +132,6 @@ class Ket:
     def move(self, src: ModeLabel, dst: ModeLabel) -> "Ket":
         """Relocate the photon in ``src`` to ``dst``, keeping its tag.
 
-        Moving a photon onto its own mode returns this ket.
-
         Raises:
             KeyError: ``src`` holds no photon.
             ModeCollision: ``dst`` already holds a photon.
@@ -143,8 +140,6 @@ class Ket:
         tag = pol.get(src)
         if tag is None:
             raise KeyError(f"no photon in mode {src!r}")
-        if dst == src:
-            return self
         if dst in pol:
             raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
         moved = pol.copy()
@@ -155,9 +150,6 @@ class Ket:
         _set(ket, "_hash", self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
         _set(ket, "_tags", self._tags)
         return ket
-
-    def __len__(self) -> int:
-        return len(self._pol)
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -172,33 +164,26 @@ class PureState:
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
-            modulus below ``prune_eps`` are dropped; a NaN is never dropped.
+            modulus below ``DEFAULT_PRUNE_EPS`` are dropped; a NaN is never
+            dropped.
         modes: every mode label known to this state, occupied or vacuum.
             Defaults to the modes occupied by the terms. Acts as the mode
             registry for the optics elements: detectors may sit on vacuum
             modes, but only on modes that exist here.
-        prune_eps: squared-amplitude threshold below which terms are dropped;
-            finite and positive.
 
     Raises:
         ZeroState: no term survives pruning.
         IncompatibleStates: kets differ in photon count or mix conventions.
-        ValueError: ``prune_eps`` is not finite and positive, an amplitude
-            is NaN, the squared norm exceeds 1 (an infinite amplitude does),
-            or a term occupies a mode missing from ``modes``.
+        ValueError: an amplitude is NaN, the squared norm exceeds 1 (an
+            infinite amplitude does), or a term occupies a mode missing from
+            ``modes``.
     """
 
-    __slots__ = ("_terms", "_norm2", "modes", "prune_eps", "photon_count", "uses_polarization")
+    __slots__ = ("_terms", "_norm2", "modes", "photon_count", "uses_polarization")
 
     def __init__(
-        self,
-        terms: Mapping[Ket, complex],
-        modes: Iterable[ModeLabel] | None = None,
-        prune_eps: float = DEFAULT_PRUNE_EPS,
+        self, terms: Mapping[Ket, complex], modes: Iterable[ModeLabel] | None = None
     ) -> None:
-        prune_eps = float(prune_eps)
-        if not 0.0 < prune_eps < math.inf:
-            raise ValueError(f"prune_eps must be finite and positive, got {prune_eps}")
         registry = None if modes is None else frozenset(modes)
         kept: dict[Ket, complex] = {}
         n2 = 0.0
@@ -208,8 +193,8 @@ class PureState:
         for ket, amp in terms.items():
             a = complex(amp)
             m2 = a.real * a.real + a.imag * a.imag
-            if not m2 >= prune_eps:
-                if not m2 < prune_eps:
+            if not m2 >= DEFAULT_PRUNE_EPS:
+                if not m2 < DEFAULT_PRUNE_EPS:
                     raise ValueError(f"amplitude {a} at {ket} is NaN")
                 continue
             kept[ket] = a
@@ -238,7 +223,6 @@ class PureState:
         _set(self, "_terms", kept)
         _set(self, "_norm2", n2)
         _set(self, "modes", registry)
-        _set(self, "prune_eps", prune_eps)
         _set(self, "photon_count", count)
         _set(self, "uses_polarization", hv_used)
 

@@ -249,6 +249,33 @@ def test_compare_zero_caps_exit_2(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_compare_single_point(capsys):
+    code, out, _ = run_main(capsys, ["compare", "--points", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 4 + 1
+    assert {line.split(",")[1] for line in lines[1:-1]} == {"A", "B", "C", "D"}
+    assert lines[-1] == "# omitted=0"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # an explicit empty list is parsed, not read as "not given"
+    (["run", "--protocol", "single-photon", "--coeffs2", "0.5,0.3,0.2", "--phases="],
+     "BadCoefficients"),
+    (["verify", "--trials", "1", "--seed", "0", "--coeffs2="], "BadCoefficients"),
+    (["verify", "--trials", "1", "--n-range", "5,2"], "BadCoefficients"),
+    (["verify", "--trials", "1", "--n-range", "1,3"], "BadCoefficients"),
+    (["verify", "--trials", "1", "--n-range", "x,2"], "ValueError"),
+    (["verify", "--trials", "1", "--n-range", "2,8,9"], "ValueError"),
+    (["compare", "--points", "0"], "DomainError"),
+])
+def test_rejected_argument_exit_2(capsys, argv, error):
+    code, out, err = run_main(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_usage_error_prints_json_record(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--points", "abc"])

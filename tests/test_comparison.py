@@ -57,6 +57,20 @@ def test_params_validation():
         PriorEcpParams(*EQUAL, iterations_step1=0)
     with pytest.raises(DomainError):
         prior_step1_prob(PriorEcpParams(*EQUAL), 0)
+    with pytest.raises(DomainError):
+        prior_step2_prob(PriorEcpParams(*EQUAL), 0)
+
+
+@pytest.mark.parametrize("beta", [1e-200, 1e-155])
+def test_beta_whose_square_underflows_is_rejected(beta):
+    # beta^2 divides both step formulas: 0.0 or a subnormal would give inf or nan
+    with pytest.raises(DomainError):
+        PriorEcpParams(math.sqrt(0.5), beta, math.sqrt(0.5))
+
+
+def test_tiny_beta_is_still_answered():
+    total = prior_total_prob(PriorEcpParams(math.sqrt(0.5), 1e-150, math.sqrt(0.5)))
+    assert math.isfinite(total) and 0.0 <= total <= 1.0
 
 
 # --- step probabilities -----------------------------------------------------

@@ -104,8 +104,10 @@ def test_vbs_output_collision():
     s = PureState({Ket((("a", NONE), ("b", NONE))): 1.0})
     with pytest.raises(ModeCollision):
         apply_vbs(s, VbsSetting("a", "b", "c", 0.5))
-    with pytest.raises(ModeCollision):
-        VbsSetting("a", "c", "c", 0.5)
+    # any two equal labels are rejected, an output named like the input too
+    for labels in (("a", "c", "c"), ("a", "a", "c"), ("a", "c", "a")):
+        with pytest.raises(ModeCollision):
+            VbsSetting(*labels, 0.5)
 
 
 def test_vbs_unknown_input():
@@ -163,6 +165,13 @@ def test_pbs_merges_two_paths():
     assert out.terms[pol_ket(("a6", V), ("b1", V), ("c1", H))] == pytest.approx(g)
 
 
+@pytest.mark.parametrize("in_a, in_b", [("zz", None), ("a1", "zz")])
+def test_pbs_unknown_input(in_a, in_b):
+    s = PureState({pol_ket(("a1", H)): 1.0})
+    with pytest.raises(UnknownMode):
+        apply_pbs(s, PbsWiring(in_a, in_b, "x", "y"))
+
+
 def test_pbs_requires_polarization():
     with pytest.raises(WrongConvention):
         apply_pbs(PureState({single("a1"): 1.0}), PbsWiring("a1", None, "x", "y"))
@@ -209,7 +218,7 @@ def _route_every_photon(state, w):
         k = Ket(routed)
         terms[k] = terms.get(k, 0j) + amp
     modes = (set(state.modes) | {w.out_c, w.out_d}) - {w.in_a, w.in_b}
-    return PureState(terms, modes=modes, prune_eps=state.prune_eps)
+    return PureState(terms, modes=modes)
 
 
 POOL = tuple(f"m{i}" for i in range(7))
@@ -266,17 +275,15 @@ def _split_every_ket(state, s):
         for out, factor in zip(outs, split):
             k = Ket(tuple(photons.items()) + ((out, tag),))
             terms[k] = terms.get(k, 0j) + amp * factor
-    modes = set(state.modes) | set(outs)
-    if s.input not in outs:
-        modes.discard(s.input)
-    return PureState(terms, modes=modes, prune_eps=state.prune_eps)
+    modes = (set(state.modes) | set(outs)) - {s.input}
+    return PureState(terms, modes=modes)
 
 
-@given(pbs_cases(), st.sampled_from(POOL), st.permutations(POOL), st.floats(0.0, 1.0))
-def test_vbs_matches_splitting_every_ket(case, src, labels, t):
-    # Outputs may be the input itself, a bystander's mode or a free mode.
+@given(pbs_cases(), st.permutations(POOL), st.floats(0.0, 1.0))
+def test_vbs_matches_splitting_every_ket(case, labels, t):
+    # Outputs may be a bystander's mode or a free mode, never the input.
     state, _ = case
-    setting = VbsSetting(src, labels[0], labels[1], t)
+    setting = VbsSetting(labels[2], labels[0], labels[1], t)
     assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
 
 

@@ -391,6 +391,8 @@ def test_custom_labels():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         run_single_photon_ecp(coeffs(*EXAMPLE), labels=("x", "x", "y"))
+    with pytest.raises(ValueError, match="need 3 labels"):
+        run_polarization_ecp(coeffs(*EXAMPLE), labels=("x", "y"))
 
 
 def test_transmittance_overrides_reach_suboptimal_points():
@@ -412,6 +414,37 @@ def test_overrides_work_for_polarization_driver():
     r2 = run_polarization_ecp(c, transmittances={0: 0.7, 1: 0.5})
     assert r1.step_probs == pytest.approx(r2.step_probs, abs=1e-12)
     assert r1.fidelity_to_target == pytest.approx(r2.fidelity_to_target, abs=1e-12)
+
+
+@st.composite
+def override_cases(draw):
+    """Coefficients with phases, and overrides t_i in [1e-3, 1] on a random subset."""
+    n = draw(st.integers(2, 10))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n, max_size=n))
+    total = sum(weights)
+    c = coeffs(*(w / total for w in weights), phases=phases)
+    subset = draw(st.sets(st.integers(0, n - 1)))  # may include the smallest party
+    overrides = {i: draw(st.floats(1e-3, 1.0)) for i in sorted(subset)}
+    return c, overrides
+
+
+@given(override_cases())
+def test_overrides_obey_closed_form_identities(case):
+    # With kept weights w_i = m_i t_i (t_i = 1 off the subset), the kept branch
+    # is sum_i sqrt(w_i) e^(i phi_i) |i>, so its norm and its overlap with the
+    # phased target follow without simulating anything.
+    c, overrides = case
+    w = [m * overrides.get(i, 1.0) for i, m in enumerate(c.moduli_squared)]
+    single = run_single_photon_ecp(c, transmittances=overrides)
+    pol = run_polarization_ecp(c, transmittances=overrides)
+    for report in (single, pol):
+        assert report.total_prob == pytest.approx(sum(w), rel=1e-12, abs=0.0)
+        expected_fid = sum(map(math.sqrt, w)) ** 2 / (c.n * sum(w))
+        assert report.fidelity_to_target == pytest.approx(expected_fid, abs=1e-12)
+    assert single.step_probs == pytest.approx(pol.step_probs, abs=1e-14)
+    assert single.final_state.photon_count == 1
+    assert pol.final_state.photon_count == c.n
 
 
 def test_oracle_equivalence_batch():

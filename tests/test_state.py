@@ -86,8 +86,10 @@ def test_ket_lookups_agree_with_photon_scan(tags, probes):
 
 
 def test_ket_move_onto_occupied_mode_collides():
-    with pytest.raises(ModeCollision):
-        Ket((("a1", H), ("b1", V))).move("a1", "b1")
+    # the photon's own mode counts as occupied too
+    for dst in ("b1", "a1"):
+        with pytest.raises(ModeCollision):
+            Ket((("a1", H), ("b1", V))).move("a1", dst)
 
 
 def test_ket_copy_and_pickle_rebuild_the_cache():
@@ -155,11 +157,6 @@ def test_ket_rejects_attribute_assignment(tags, name):
     assert ket == Ket(tuple(tags.items()))
 
 
-def test_ket_move_onto_own_mode_is_identity():
-    k = Ket((("a1", H), ("b1", V)))
-    assert k.move("a1", "a1") is k
-
-
 def test_w_state_kets_hash_apart():
     # one H among N V photons: the kets differ only in which party holds H
     modes = [f"p{i}" for i in range(64)]
@@ -192,24 +189,16 @@ def test_norm_cap():
 
 
 def test_prune_drops_negligible_terms():
-    # prune_eps thresholds the squared amplitude
-    s = PureState({single("a1"): 1.0, single("b1"): 1e-7}, prune_eps=1e-15)
+    # DEFAULT_PRUNE_EPS (1e-15) thresholds the squared amplitude
+    s = PureState({single("a1"): 1.0, single("b1"): 1e-7})
     assert set(s.terms) == {single("a1"), single("b1")}
-    s2 = PureState({single("a1"): 1.0, single("b1"): 1e-7}, prune_eps=1e-12)
+    s2 = PureState({single("a1"): 1.0, single("b1"): 1e-8})
     assert set(s2.terms) == {single("a1")}
-
-
-@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_prune_eps_must_be_finite_and_positive(eps):
-    # a non-positive threshold would keep zero terms; a NaN one is not an amplitude fault
-    with pytest.raises(ValueError, match="prune_eps") as info:
-        PureState({single("a1"): 0.0, single("b1"): 1.0}, prune_eps=eps)
-    assert not isinstance(info.value, ZeroState)
 
 
 def test_all_pruned_raises_zerostate():
     with pytest.raises(ZeroState):
-        PureState({single("a1"): 1e-9}, prune_eps=1e-12)
+        PureState({single("a1"): 1e-9})
 
 
 def test_terms_must_live_on_registered_modes():
@@ -225,8 +214,8 @@ def test_registry_may_include_vacuum_modes():
 def test_state_is_immutable():
     s = w3(INV_SQRT3, INV_SQRT3, INV_SQRT3)
     with pytest.raises(AttributeError):
-        s.prune_eps = 0.0
-    for name in ("prune_eps", "modes", "photon_count"):
+        s.uses_polarization = True
+    for name in ("uses_polarization", "modes", "photon_count"):
         with pytest.raises(AttributeError):
             delattr(s, name)
         getattr(s, name)
