@@ -106,7 +106,11 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
 
     amp_t = math.sqrt(s.transmittance)
     amp_r = math.sqrt(1.0 - s.transmittance)
+    # No ket holds an unregistered mode, so only a registered output can be
+    # occupied by a photon the element does not touch.
+    registered = [out for out in (s.out_transmit, s.out_reflect) if out in state.modes]
     new_terms: dict[Ket, complex] = {}
+    added = []
     for ket, amp in state.terms.items():
         if ket.has(s.input):
             # move raises ModeCollision when an output is taken
@@ -114,15 +118,17 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
             kr = ket.move(s.input, s.out_reflect)
             new_terms[kt] = new_terms.get(kt, 0j) + amp * amp_t
             new_terms[kr] = new_terms.get(kr, 0j) + amp * amp_r
+            added += (kt, kr)
         else:
-            for out in (s.out_transmit, s.out_reflect):
+            for out in registered:
                 if ket.has(out):
                     raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
-            new_terms[ket] = new_terms.get(ket, 0j) + amp
+            # a split ket equal to this one would hold an output: the scan raised
+            new_terms[ket] = amp
 
     modes = set(state.modes) | {s.out_transmit, s.out_reflect}
     modes.discard(s.input)  # input port is consumed by the element
-    return PureState(new_terms, modes=modes)
+    return PureState._derive(state, new_terms, modes, added)
 
 
 def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
@@ -138,22 +144,30 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     ports = [(w.in_a, w.out_c, w.out_d)]
     if w.in_b is not None:
         ports.append((w.in_b, w.out_d, w.out_c))
+    # (input mode, {tag: (output, hash delta)}): the at most four deltas are
+    # hashed once per call, not once per moved photon.
+    routes = [
+        (src, {tag: (out, Ket._move_delta(src, out, tag))
+               for tag, out in ((Polarization.H, out_h), (Polarization.V, out_v))})
+        for src, out_h, out_v in ports
+    ]
 
     # Outputs are never input labels, so a move that finds its output taken
     # has met a bystander or the photon routed from the other input port.
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state.terms.items():
-        for src, out_h, out_v in ports:
+        for src, route in routes:
             pol = ket.polarization_at(src)
             if pol is not None:
-                ket = ket.move(src, out_h if pol is Polarization.H else out_v)
+                ket = ket._relabel(src, *route[pol])
         new_terms[ket] = new_terms.get(ket, 0j) + amp
 
     modes = set(state.modes) | {w.out_c, w.out_d}
     modes.discard(w.in_a)
     if w.in_b is not None:
         modes.discard(w.in_b)
-    return PureState(new_terms, modes=modes)
+    # check every term: most kets moved, and a bystander may have merged with one
+    return PureState._derive(state, new_terms, modes, new_terms)
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
@@ -173,6 +187,6 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     kept = {ket: amp for ket, amp in state.terms.items() if not ket.has(mode)}
     if not kept:
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    kept_state = PureState(kept, modes=state.modes)
+    kept_state = PureState._derive(state, kept, state.modes, ())
     probability = norm_squared(kept_state) / norm_squared(state)
     return BranchOutcome(kept_state=kept_state, probability=probability)

@@ -207,12 +207,18 @@ def _schedule(
     With no override, plan the optimal step t_i = min|a|^2 / |a_i|^2 and skip
     parties already at the minimum. With an override mapping, schedule exactly
     the given parties at the given transmittances.
+
+    Raises:
+        ValueError: an override key is not a party index in range(N).
     """
     m2 = c.moduli_squared
     order = sorted(range(c.n), key=lambda i: (-m2[i], i))
     if transmittances is None:
         mn = min(m2)
         return [(i, mn / m2[i]) for i in order if mn / m2[i] < 1.0 - _TIE_EPS]
+    unknown = [k for k in transmittances if k not in range(c.n)]
+    if unknown:
+        raise ValueError(f"transmittance overrides name no party in range({c.n}): {unknown}")
     return [(i, float(transmittances[i])) for i in order if i in transmittances]
 
 

@@ -136,18 +136,27 @@ class Ket:
             KeyError: ``src`` holds no photon.
             ModeCollision: ``dst`` already holds a photon.
         """
-        pol = self._pol
-        tag = pol.get(src)
+        tag = self._pol.get(src)
         if tag is None:
             raise KeyError(f"no photon in mode {src!r}")
+        return self._relabel(src, dst, Ket._move_delta(src, dst, tag))
+
+    @staticmethod
+    def _move_delta(src: ModeLabel, dst: ModeLabel, tag: Polarization) -> int:
+        """Change of a ket's hash when its ``tag`` photon moves from ``src`` to ``dst``."""
+        return _photon_hash(src, tag) ^ _photon_hash(dst, tag)
+
+    def _relabel(self, src: ModeLabel, dst: ModeLabel, delta: int) -> "Ket":
+        """``move`` with ``delta = _move_delta(src, dst, tag)`` given for the tag
+        of the photon in ``src``, so a caller moving many kets hashes once."""
+        pol = self._pol
         if dst in pol:
             raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
         moved = pol.copy()
-        del moved[src]
-        moved[dst] = tag
+        moved[dst] = moved.pop(src)
         ket = object.__new__(Ket)
         _set(ket, "_pol", moved)
-        _set(ket, "_hash", self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
+        _set(ket, "_hash", self._hash ^ delta)
         _set(ket, "_tags", self._tags)
         return ket
 
@@ -225,6 +234,65 @@ class PureState:
         _set(self, "modes", registry)
         _set(self, "photon_count", count)
         _set(self, "uses_polarization", hv_used)
+
+    @classmethod
+    def _derive(
+        cls,
+        parent: "PureState",
+        terms: dict[Ket, complex],
+        modes: Iterable[ModeLabel],
+        added: Iterable[Ket],
+    ) -> "PureState":
+        """An optics element's output, built from its validated parent.
+
+        ``added`` lists, once each, the kets of ``terms`` that the element
+        created or whose amplitude it changed. They get the constructor's
+        per-term checks (prune, NaN, photon count, convention, registry), held
+        to the parent's photon count and convention. Every other term must be
+        the parent's own term, unchanged, so it inherits the parent's checks;
+        the caller keeps every mode such a term occupies in ``modes``. Pruned
+        kets are deleted from ``terms``, which the new state then owns. The
+        squared norm is re-summed over the kept terms in order, as the
+        constructor sums it, so both give the same bits.
+        """
+        registry = frozenset(modes)
+        count = parent.photon_count
+        hv_used = parent.uses_polarization
+        allowed = {Polarization.H, Polarization.V} if hv_used else {Polarization.NONE}
+        pruned = []
+        for ket in added:
+            a = terms[ket]
+            m2 = a.real * a.real + a.imag * a.imag
+            if not m2 >= DEFAULT_PRUNE_EPS:
+                if not m2 < DEFAULT_PRUNE_EPS:
+                    raise ValueError(f"amplitude {a} at {ket} is NaN")
+                pruned.append(ket)
+                continue
+            pol = ket._pol
+            if len(pol) != count:
+                raise IncompatibleStates(
+                    f"photon count differs across kets: {count} and {len(pol)}")
+            if not ket._tags <= allowed:
+                raise IncompatibleStates("kets mix tagged and untagged photons")
+            if not registry.issuperset(pol):
+                raise ValueError(f"terms occupy unregistered modes: {set(pol) - registry}")
+        for ket in pruned:
+            del terms[ket]
+        if not terms:
+            raise ZeroState("state has no terms above the pruning threshold")
+        n2 = 0.0
+        for a in terms.values():
+            n2 += a.real * a.real + a.imag * a.imag
+        if n2 > _NORM_SQ_CAP:
+            raise ValueError(f"squared norm {n2} exceeds 1")
+
+        state = object.__new__(cls)
+        _set(state, "_terms", terms)
+        _set(state, "_norm2", n2)
+        _set(state, "modes", registry)
+        _set(state, "photon_count", count)
+        _set(state, "uses_polarization", hv_used)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")

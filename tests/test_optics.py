@@ -225,11 +225,11 @@ POOL = tuple(f"m{i}" for i in range(7))
 
 
 @st.composite
-def pbs_cases(draw):
+def pbs_cases(draw, tags=(H, V)):
     size = draw(st.integers(1, 4))
     kets = draw(st.lists(
         st.lists(st.sampled_from(POOL), min_size=size, max_size=size, unique=True).flatmap(
-            lambda modes: st.tuples(*(st.tuples(st.just(m), st.sampled_from([H, V]))
+            lambda modes: st.tuples(*(st.tuples(st.just(m), st.sampled_from(tags))
                                       for m in modes))),
         min_size=1, max_size=5))
     terms = {}
@@ -242,13 +242,17 @@ def pbs_cases(draw):
     return state, PbsWiring(labels[0], in_b, labels[2], labels[3])
 
 
+# Elements derive their output from the validated input state; the references
+# build theirs through the public constructor, which checks every term.
 def _outcome(element, state, wiring):
-    """Output terms and registry, or the type of the error raised."""
+    """Output terms in order, registry, squared norm (exact) and the derived
+    facts, or the type of the error raised."""
     try:
         out = element(state, wiring)
     except ValueError as exc:
         return type(exc)
-    return dict(out.terms), out.modes
+    terms = list(out.terms.items())
+    return terms, out.modes, norm_squared(out), out.photon_count, out.uses_polarization
 
 
 @given(pbs_cases())
@@ -279,12 +283,34 @@ def _split_every_ket(state, s):
     return PureState(terms, modes=modes)
 
 
-@given(pbs_cases(), st.permutations(POOL), st.floats(0.0, 1.0))
+ANY_CONVENTION = st.sampled_from([(H, V), (NONE,)]).flatmap(pbs_cases)
+
+
+@given(ANY_CONVENTION, st.permutations(POOL), st.floats(0.0, 1.0))
 def test_vbs_matches_splitting_every_ket(case, labels, t):
     # Outputs may be a bystander's mode or a free mode, never the input.
     state, _ = case
     setting = VbsSetting(labels[2], labels[0], labels[1], t)
     assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
+
+
+def _keep_dark_terms(state, mode):
+    """Reference detector: the terms with no photon in ``mode``, rebuilt."""
+    if mode not in state.modes:
+        raise UnknownMode(mode)
+    dark = {ket: amp for ket, amp in state.terms.items() if mode not in ket.modes}
+    return PureState(dark, modes=state.modes)
+
+
+def _kept_state(state, mode):
+    return detect_vacuum(state, mode).kept_state
+
+
+@given(ANY_CONVENTION, st.sampled_from(POOL + ("zz",)))
+def test_detect_matches_rebuilding_dark_terms(case, mode):
+    # an empty dark branch is a ZeroState for the detector and the constructor
+    state, _ = case
+    assert _outcome(_kept_state, state, mode) == _outcome(_keep_dark_terms, state, mode)
 
 
 def test_pbs_wiring_labels_distinct():

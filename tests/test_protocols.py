@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wecp import protocols
 from wecp.optics import PbsWiring, VbsSetting, apply_pbs, apply_vbs, detect_vacuum
 from wecp.protocols import (
     BadCoefficients,
@@ -445,6 +446,88 @@ def test_overrides_obey_closed_form_identities(case):
     assert single.step_probs == pytest.approx(pol.step_probs, abs=1e-14)
     assert single.final_state.photon_count == 1
     assert pol.final_state.photon_count == c.n
+
+
+@pytest.mark.parametrize("driver", [run_single_photon_ecp, run_polarization_ecp])
+@pytest.mark.parametrize("overrides", [{3: 0.4, -1: 0.5}, {0: 0.4, 3: 0.5}, {-1: 0.5}])
+def test_override_keys_naming_no_party_are_rejected(driver, overrides):
+    # a key outside range(N) used to be dropped, so the run skipped that step
+    with pytest.raises(ValueError) as info:
+        driver(coeffs(*EXAMPLE), transmittances=overrides)
+    assert str([k for k in overrides if k not in range(3)]) in str(info.value)
+
+
+def _photon_numbers(state):
+    return {len(ket.modes) for ket in state.terms}
+
+
+@given(override_cases(), st.booleans())
+def test_every_run_keeps_the_abstracts_resource_claims(case, optimal):
+    # No auxiliary photon: each element sees and leaves exactly the input's 1
+    # or N photons. The kept state holds no photon where a detector sat or a
+    # VBS consumed its input, and the concentrated state stays on N modes.
+    c, overrides = case
+    if optimal:
+        overrides = None
+    for driver, photons, per_step in ((run_single_photon_ecp, 1, 2), (run_polarization_ecp, c.n, 4)):
+        seen = []
+
+        def counted(element):
+            def wrapper(state, setting):
+                out = element(state, setting)
+                kept = getattr(out, "kept_state", out)
+                seen.append((_photon_numbers(state), _photon_numbers(kept), kept.photon_count))
+                return out
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("apply_vbs", "apply_pbs", "detect_vacuum"):
+                mp.setattr(protocols, name, counted(getattr(protocols, name)))
+            report = driver(c, transmittances=overrides)
+        assert len(seen) == per_step * len(report.steps)
+        assert all(entry == ({photons}, {photons}, photons) for entry in seen)
+        dark = {m for step in report.steps for m in (step.detector, step.vbs.input)}
+        occupied = {m for ket in report.final_state.terms for m in ket.modes}
+        assert not dark & occupied
+        assert len(occupied) == c.n
+
+
+@st.composite
+def near_optimal_cases(draw):
+    """Overrides t_i near the optimal m_min/m_i on a random subset S of parties.
+
+    Parties outside S keep t = 1, so their weights are drawn within 1e-6 of
+    the smallest; S may include the smallest party itself.
+    """
+    n = draw(st.integers(2, 8))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    subset = draw(st.sets(st.integers(0, n - 1)))
+    low = min(raw)
+    raw = [w if i in subset else low * (1.0 + draw(st.floats(0.0, 1e-6)))
+           for i, w in enumerate(raw)]
+    total = sum(raw)
+    c = coeffs(*(w / total for w in raw))
+    m2 = c.moduli_squared
+    overrides = {}
+    for i in sorted(subset):
+        offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+        overrides[i] = min(1.0, min(m2) / m2[i] * (1.0 + offset))
+    return c, overrides
+
+
+@given(near_optimal_cases())
+def test_exact_optimality_bound_at_any_n(case):
+    # F >= 1 - e implies total_prob <= N m_min / ((1 - e)(1 - r)^2) with
+    # r = sqrt((N - 1) e / (1 - e)), tight at the optimum. e is padded by
+    # 1e-15 for the rounding of 1 - F.
+    c, overrides = case
+    m_min = min(c.moduli_squared)
+    for driver in (run_single_photon_ecp, run_polarization_ecp):
+        report = driver(c, transmittances=overrides)
+        e = 1.0 - report.fidelity_to_target + 1e-15
+        r = math.sqrt((c.n - 1) * e / (1.0 - e))
+        if r < 1.0:
+            assert report.total_prob <= c.n * m_min / ((1.0 - e) * (1.0 - r) ** 2)
 
 
 def test_oracle_equivalence_batch():

@@ -242,6 +242,89 @@ def test_infinite_amplitude_rejected():
             PureState({single("a1"): inf, single("b1"): 0.5})
 
 
+# --- derivation from a validated parent ----------------------------------
+
+PARENT_MODES = ("m0", "m1", "m2", "m3", "m4")
+NEW_MODES = ("n0", "n1", "n2")
+UNREGISTERED = "zz"
+
+
+def kets_of(count, tags, modes):
+    return st.lists(st.sampled_from(modes), min_size=count, max_size=count, unique=True).flatmap(
+        lambda chosen: st.tuples(*(st.tuples(st.just(m), st.sampled_from(tags)) for m in chosen))
+    ).map(Ket)
+
+
+def phased(moduli):
+    return st.tuples(moduli, st.floats(-math.pi, math.pi)).map(lambda rp: rp[0] * complex(
+        math.cos(rp[1]), math.sin(rp[1])))
+
+
+@st.composite
+def derivations(draw):
+    """An element-like output of a parent state, with at most one faulty added ket.
+
+    The output keeps a non-empty subset of the parent's terms unchanged, so
+    the public constructor and the derivation judge the same photon count and
+    convention, and mixes in added kets, some below the pruning threshold.
+    """
+    count = draw(st.integers(1, 3))
+    tags = draw(st.sampled_from([(H, V), (NONE,)]))
+    parent_kets = draw(st.lists(kets_of(count, tags, PARENT_MODES), min_size=1, max_size=4,
+                                unique=True))
+    vacuum = draw(st.sets(st.sampled_from(PARENT_MODES)))
+    parent = PureState({k: draw(phased(st.floats(0.1, 0.35))) for k in parent_kets},
+                       modes={m for k in parent_kets for m in k.modes} | vacuum)
+
+    carried = draw(st.lists(st.sampled_from(parent_kets), min_size=1, unique=True))
+    added_kets = [k for k in draw(st.lists(kets_of(count, tags, PARENT_MODES + NEW_MODES),
+                                           max_size=3, unique=True)) if k not in carried]
+    amps = st.one_of(phased(st.floats(0.0, 3e-8)), phased(st.floats(0.05, 0.3)))
+    added = {k: draw(amps) for k in added_kets}
+
+    # the faulty ket is never a parent ket: it has a new mode or photon count
+    fault = draw(st.sampled_from(["none", "nan", "count", "convention", "registry", "norm"]))
+    amp = draw(phased(st.floats(0.05, 0.3)))
+    if fault == "count":
+        added[draw(kets_of(count + 1, tags, PARENT_MODES + NEW_MODES))] = amp
+    elif fault == "convention":
+        added[draw(kets_of(count, (NONE,) if H in tags else (H, V), NEW_MODES))] = amp
+    elif fault == "registry":
+        others = draw(kets_of(count - 1, tags, PARENT_MODES + NEW_MODES))
+        added[Ket(others.photons + ((UNREGISTERED, draw(st.sampled_from(tags))),))] = amp
+    elif fault == "nan":
+        added[draw(kets_of(count, tags, NEW_MODES))] = complex(math.nan, 0.0)
+    elif fault == "norm":
+        added[draw(kets_of(count, tags, NEW_MODES))] = 1.0 + 0j
+
+    terms = dict(draw(st.permutations(
+        [(k, parent.terms[k]) for k in carried] + list(added.items()))))
+    # the element consumed some modes no kept parent ket holds, and named new ones
+    free = sorted(parent.modes - {m for k in carried for m in k.modes})
+    dropped = draw(st.sets(st.sampled_from(free))) if free else set()
+    modes = (parent.modes - dropped) | {m for k in added for m in k.modes if m != UNREGISTERED}
+    return parent, terms, modes, [k for k in terms if k in added]
+
+
+def _state_or_error(build):
+    try:
+        out = build()
+    except ValueError as exc:
+        return type(exc)
+    terms = list(out.terms.items())
+    return terms, out.modes, norm_squared(out), out.photon_count, out.uses_polarization
+
+
+@given(derivations())
+def test_derivation_matches_public_constructor(case):
+    # same kept terms in the same order, same registry, the same norm bits and
+    # the same verdict on a NaN, a wrong photon count or convention, an
+    # unregistered mode or a norm above 1 in an added ket
+    parent, terms, modes, added = case
+    reference = _state_or_error(lambda: PureState(dict(terms), modes=modes))
+    assert _state_or_error(lambda: PureState._derive(parent, dict(terms), modes, added)) == reference
+
+
 # --- norm_squared -------------------------------------------------------
 
 def test_norm_squared_of_w3_is_one():
