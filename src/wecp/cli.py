@@ -8,6 +8,7 @@ Validation errors print a machine-readable JSON record to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from .comparison import (
     DEFAULT_CAPS,
     DEFAULT_GRID_POINTS,
     DomainError,
-    default_alpha_grid,
+    _alpha_points,
     sweep_point,
 )
 from .protocols import (
@@ -135,7 +136,7 @@ def cmd_compare(
             raise DomainError("need at least one cap pair")
         if any(n < 1 or m < 1 for n, m in caps):
             raise DomainError(f"round caps must be positive: {list(caps)}")
-        grid = default_alpha_grid(points) if alpha_grid is None else tuple(alpha_grid)
+        grid = _alpha_points(points) if alpha_grid is None else tuple(alpha_grid)
     except DomainError as exc:
         return _fail_validation(exc)
 
@@ -263,8 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``main`` call rather than at import, so importing the CLI
+# stays cheap, then reused by every later call in the process.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.command == "run":
         try:
             coeffs2 = _parse_floats(args.coeffs2)

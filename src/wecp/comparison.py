@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .protocols import BadCoefficients, WCoefficients, analytic_total_probability
 
@@ -124,14 +124,22 @@ def default_alpha_grid(points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
     Endpoints violate the strict ordering of the coefficients, so the grid
     approaches them to within GRID_MARGIN instead of touching them.
     """
+    return tuple(_alpha_points(points))
+
+
+def _alpha_points(points: int) -> Iterator[float]:
+    """The points of ``default_alpha_grid(points)``, computed as they are read,
+    so a sweep holds one point at a time however many it asks for.
+
+    Raises:
+        DomainError: ``points`` is below 1; raised by the call itself.
+    """
     if points < 1:
         raise DomainError("grid needs at least one point")
     lo = ALPHA_LO + GRID_MARGIN
     hi = ALPHA_HI - GRID_MARGIN
-    if points == 1:
-        return (lo,)
-    step = (hi - lo) / (points - 1)
-    return tuple(lo + i * step for i in range(points))
+    step = (hi - lo) / max(points - 1, 1)
+    return (lo + i * step for i in range(points))
 
 
 def sweep_point(

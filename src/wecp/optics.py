@@ -22,6 +22,7 @@ from .state import (
     Polarization,
     PureState,
     ZeroState,
+    _relabel,
     norm_squared,
 )
 
@@ -111,8 +112,9 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     registered = [out for out in (s.out_transmit, s.out_reflect) if out in state.modes]
     new_terms: dict[Ket, complex] = {}
     added = []
-    for ket, amp in state.terms.items():
-        if ket.has(s.input):
+    for ket, amp in state._terms.items():
+        pol = ket._pol
+        if s.input in pol:
             # move raises ModeCollision when an output is taken
             kt = ket.move(s.input, s.out_transmit)
             kr = ket.move(s.input, s.out_reflect)
@@ -121,7 +123,7 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
             added += (kt, kr)
         else:
             for out in registered:
-                if ket.has(out):
+                if out in pol:
                     raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
             # a split ket equal to this one would hold an output: the scan raised
             new_terms[ket] = amp
@@ -140,26 +142,19 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     if w.in_b is not None and w.in_b not in state.modes:
         raise UnknownMode(f"PBS input mode {w.in_b!r} does not exist")
 
-    # (input mode, output for H, output for V); only these photons move.
-    ports = [(w.in_a, w.out_c, w.out_d)]
+    # (input mode, output per tag); only these photons move.
+    H, V = Polarization.H, Polarization.V
+    ports = [(w.in_a, {H: w.out_c, V: w.out_d})]
     if w.in_b is not None:
-        ports.append((w.in_b, w.out_d, w.out_c))
-    # (input mode, {tag: (output, hash delta)}): the at most four deltas are
-    # hashed once per call, not once per moved photon.
-    routes = [
-        (src, {tag: (out, Ket._move_delta(src, out, tag))
-               for tag, out in ((Polarization.H, out_h), (Polarization.V, out_v))})
-        for src, out_h, out_v in ports
-    ]
+        ports.append((w.in_b, {H: w.out_d, V: w.out_c}))
 
     # Outputs are never input labels, so a move that finds its output taken
     # has met a bystander or the photon routed from the other input port.
+    kets = state._terms.keys()
+    for src, route in ports:
+        kets = _relabel(kets, src, route)
     new_terms: dict[Ket, complex] = {}
-    for ket, amp in state.terms.items():
-        for src, route in routes:
-            pol = ket.polarization_at(src)
-            if pol is not None:
-                ket = ket._relabel(src, *route[pol])
+    for ket, amp in zip(kets, state._terms.values()):
         new_terms[ket] = new_terms.get(ket, 0j) + amp
 
     modes = set(state.modes) | {w.out_c, w.out_d}
@@ -184,7 +179,7 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     """
     if mode not in state.modes:
         raise UnknownMode(f"detector mode {mode!r} does not exist")
-    kept = {ket: amp for ket, amp in state.terms.items() if not ket.has(mode)}
+    kept = {ket: amp for ket, amp in state._terms.items() if mode not in ket._pol}
     if not kept:
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
     kept_state = PureState._derive(state, kept, state.modes, ())

@@ -167,12 +167,11 @@ def w_state_polarization(
 ) -> PureState:
     """N photons, one per party mode; ket i carries H on party i and V elsewhere."""
     labels = _checked_labels(c, labels)
+    all_v = [(label, Polarization.V) for label in labels]
     terms = {}
     for i, a in enumerate(c.amps):
-        photons = tuple(
-            (label, Polarization.H if j == i else Polarization.V)
-            for j, label in enumerate(labels)
-        )
+        photons = all_v.copy()
+        photons[i] = (labels[i], Polarization.H)
         terms[Ket(photons)] = a
     return PureState(terms, modes=labels)
 

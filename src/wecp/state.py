@@ -12,7 +12,8 @@ renormalizes implicitly, so branch probabilities stay auditable step by step.
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, xor
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -52,14 +53,13 @@ _HASH_MASK = (1 << 63) - 1
 
 
 def _photon_hash(mode: ModeLabel, pol: Polarization) -> int:
-    """Hash of one photon, bit-shuffled as frozenset shuffles each element hash.
+    """Hash of one photon: the builtin hash of its (mode, tag) pair, masked.
 
     A ket hashes to the XOR of its photon hashes, which ignores photon order
-    and lets a move swap one photon's share in O(1). The shuffle spreads
-    nearby hashes apart so the XOR does not cancel on structured kets.
+    and lets a move swap one photon's share in O(1). The mask distributes over
+    XOR, so ``Ket`` hashes all its photons in one C pass and masks once.
     """
-    h = hash((mode, pol)) & _HASH_MASK
-    return ((h ^ 89869747 ^ (h << 16)) * 3644798167) & _HASH_MASK
+    return hash((mode, pol)) & _HASH_MASK
 
 
 def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
@@ -74,11 +74,12 @@ class Ket:
     """Photon pattern: which modes hold a photon, and each photon's tag.
 
     A ket is its mode→polarization map, so kets built from permuted photon
-    lists compare equal. The hash is the XOR of one shuffled hash per photon
-    (``_photon_hash``): it is computed once by the constructor, and ``move``
-    updates it in O(1) by swapping out the moved photon's old share for its
-    new one. ``photons`` and ``modes`` are sorted by mode label and derived on
-    demand. Kets are immutable.
+    lists compare equal. The hash is the XOR of the builtin hash of each
+    photon's (mode, tag) pair, masked to 63 bits (``_photon_hash``). The
+    constructor computes it in one C pass over the photons; ``move`` and a PBS
+    relabel through one batch kernel, ``_relabel``, which updates each hash in
+    O(1) by a delta hashed once per call. ``photons`` and ``modes`` are sorted
+    by mode label and derived on demand. Kets are immutable.
     """
 
     __slots__ = ("_pol", "_hash", "_tags")
@@ -90,11 +91,8 @@ class Ket:
         pol = dict(photons)
         if len(pol) != len(photons):
             raise ModeCollision(f"duplicate occupancy in ket: {sorted(m for m, _ in photons)}")
-        h = 0
-        for mode, tag in photons:
-            h ^= _photon_hash(mode, tag)
         _set(self, "_pol", pol)
-        _set(self, "_hash", h)
+        _set(self, "_hash", reduce(xor, map(hash, photons), 0) & _HASH_MASK)
         _set(self, "_tags", frozenset(pol.values()))
 
     def __setattr__(self, name, value):
@@ -139,26 +137,7 @@ class Ket:
         tag = self._pol.get(src)
         if tag is None:
             raise KeyError(f"no photon in mode {src!r}")
-        return self._relabel(src, dst, Ket._move_delta(src, dst, tag))
-
-    @staticmethod
-    def _move_delta(src: ModeLabel, dst: ModeLabel, tag: Polarization) -> int:
-        """Change of a ket's hash when its ``tag`` photon moves from ``src`` to ``dst``."""
-        return _photon_hash(src, tag) ^ _photon_hash(dst, tag)
-
-    def _relabel(self, src: ModeLabel, dst: ModeLabel, delta: int) -> "Ket":
-        """``move`` with ``delta = _move_delta(src, dst, tag)`` given for the tag
-        of the photon in ``src``, so a caller moving many kets hashes once."""
-        pol = self._pol
-        if dst in pol:
-            raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
-        moved = pol.copy()
-        moved[dst] = moved.pop(src)
-        ket = object.__new__(Ket)
-        _set(ket, "_pol", moved)
-        _set(ket, "_hash", self._hash ^ delta)
-        _set(ket, "_tags", self._tags)
-        return ket
+        return _relabel((self,), src, {tag: dst})[0]
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -166,6 +145,42 @@ class Ket:
             for m, pol in self.photons
         )
         return f"|{inner}>"
+
+
+def _relabel(
+    kets: Iterable[Ket], src: ModeLabel, route: Mapping[Polarization, ModeLabel]
+) -> list[Ket]:
+    """Move the photon in ``src`` of each ket to ``route[tag]``, keeping its tag.
+
+    The one relabel path: ``Ket.move`` passes one ket, a PBS passes every ket
+    of its input state once per input port. The hash delta of each route is
+    hashed once per call, and no Python function runs per ket. Kets with no
+    photon in ``src`` come back as they are, in place.
+
+    Raises:
+        ModeCollision: a destination already holds a photon.
+    """
+    moves = {}
+    for tag, dst in route.items():
+        moves[tag] = dst, _photon_hash(src, tag) ^ _photon_hash(dst, tag)
+    out = []
+    for ket in kets:
+        pol = ket._pol
+        tag = pol.get(src)
+        if tag is None:
+            out.append(ket)
+            continue
+        dst, delta = moves[tag]
+        if dst in pol:
+            raise ModeCollision(f"mode {dst!r} already holds a photon in {ket}")
+        moved = pol.copy()
+        moved[dst] = moved.pop(src)
+        new = object.__new__(Ket)
+        _set(new, "_pol", moved)
+        _set(new, "_hash", ket._hash ^ delta)
+        _set(new, "_tags", ket._tags)
+        out.append(new)
+    return out
 
 
 class PureState:

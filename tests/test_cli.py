@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -287,7 +288,49 @@ def test_usage_error_prints_json_record(capsys):
     assert "--points" in record["message"]
 
 
+def _cli_env():
+    return {**os.environ, "PYTHONPATH": str(Path(wecp.__file__).parents[1])}
+
+
+HUGE_GRID_SCRIPT = """
+import resource, sys
+limit = 256 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from wecp.cli import main
+sys.exit(main(["compare", "--points", "100000000000"]))
+"""
+
+
+def test_compare_streams_a_grid_too_large_to_hold(capsys):
+    # 1e11 points would take terabytes as one tuple. The child's address space
+    # is capped, so a grid built before the first row dies there with a
+    # MemoryError instead of exhausting the host; a streamed grid writes rows
+    # at once. The child is killed after two lines, or after 60 s.
+    with subprocess.Popen([sys.executable, "-u", "-c", HUGE_GRID_SCRIPT], env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True) as proc:
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            head = [proc.stdout.readline(), proc.stdout.readline()]
+        finally:
+            timer.cancel()
+            proc.kill()
+    # the first alpha of every grid is the lower end, so row 1 is shared
+    code, out, _ = run_main(capsys, ["compare", "--points", "2"])
+    assert code == 0
+    assert head == out.splitlines(keepends=True)[:2]
+
+
 # --- verify -------------------------------------------------------------------
+
+def test_verify_wide_golden_bytes(capsys):
+    # N = 27..40: two-letter party labels, and both circuits at full width.
+    code, out, _ = run_main(capsys, [
+        "verify", "--trials", "20", "--n-range", "27,40", "--seed", "3"])
+    assert code == 0
+    assert out.encode() == (DATA / "verify_wide.json").read_bytes()
+
 
 def test_verify_small_batch(capsys):
     code, out, _ = run_main(capsys, [
@@ -413,7 +456,28 @@ if codes != [0, 0, 0] or "numpy" in sys.modules:
 
 def test_cli_runs_on_the_standard_library_alone():
     # A fresh interpreter, so no module the test suite imported is loaded.
-    env = {**os.environ, "PYTHONPATH": str(Path(wecp.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=env,
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=_cli_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# --- one parser per process -----------------------------------------------------
+
+def test_consecutive_main_calls_reuse_one_parser(capsys):
+    # A usage error must leave the shared parser fit for the calls after it.
+    argvs = (["verify", "--trials", "x"],
+             ["verify", "--trials", "20", "--n-range", "2,6", "--seed", "9"],
+             ["compare", "--points", "5", "--caps", "2,2"])
+    cli._shared_parser.cache_clear()
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "wecp.cli", *argv], env=_cli_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr)
+    assert cli._shared_parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()

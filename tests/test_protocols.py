@@ -1,5 +1,7 @@
 """Tests for state builders, the transmittance planner, and both drivers."""
 import math
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from wecp.protocols import (
     w_state_polarization,
     w_state_single_photon,
 )
-from wecp.state import DEFAULT_PRUNE_EPS, Polarization, fidelity, norm_squared
+from wecp.state import (
+    DEFAULT_PRUNE_EPS,
+    Ket,
+    Polarization,
+    _photon_hash,
+    fidelity,
+    norm_squared,
+)
 
 EXAMPLE = (0.5, 0.3, 0.2)
 
@@ -111,6 +120,37 @@ def test_polarization_w_state_one_h_per_ket():
         tags = [pol for _, pol in ket.photons]
         assert tags.count(Polarization.H) == 1
         assert tags.count(Polarization.V) == len(tags) - 1
+
+
+def _ket_photon_by_photon(labels, hot, polarization):
+    """Party ``hot``'s ket, built from a photon list appended one party at a time."""
+    if not polarization:
+        return Ket(((labels[hot], Polarization.NONE),))
+    photons = []
+    for j, label in enumerate(labels):
+        photons.append((label, Polarization.H if j == hot else Polarization.V))
+    return Ket(photons)
+
+
+def test_builders_match_kets_built_photon_by_photon():
+    # Parties past the 26th carry two-letter labels. Each builder's kets, in
+    # term order, equal the reference kets, hash equal to them, and hash to
+    # the XOR of their photon hashes.
+    rng = np.random.default_rng(9)
+    for n in range(2, 41):
+        c = random_coeffs(rng, n)
+        labels = default_party_labels(n)
+        for polarization in (False, True):
+            build = w_state_polarization if polarization else w_state_single_photon
+            state = build(c)
+            target = target_w_state(c, polarization=polarization)
+            assert list(state.terms.values()) == list(c.amps)
+            refs = [_ket_photon_by_photon(labels, i, polarization) for i in range(n)]
+            for kets in (list(state.terms), list(target.terms)):
+                assert kets == refs
+                for ket, ref in zip(kets, refs):
+                    assert hash(ket) == hash(ref) == reduce(
+                        xor, (_photon_hash(m, pol) for m, pol in ref.photons))
 
 
 def test_party_labels_deterministic():
