@@ -46,6 +46,8 @@ class Polarization(Enum):
 
 
 _TAG_TEXT = {pol: pol.value for pol in Polarization}
+# the tags a state may carry, by whether it uses the polarization convention
+_TAGS_OF = {True: {Polarization.H, Polarization.V}, False: {Polarization.NONE}}
 
 # Per-photon hashes are kept to 63 bits, so their XOR is a non-negative
 # machine-size int that Python uses as the hash without reducing it again.
@@ -186,6 +188,10 @@ def _relabel(
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
+    Every state passes the same checks, whether the constructor or an optics
+    element builds it. A copied or unpickled state is rebuilt through the
+    constructor.
+
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
             modulus below ``DEFAULT_PRUNE_EPS`` are dropped; a NaN is never
@@ -208,47 +214,8 @@ class PureState:
     def __init__(
         self, terms: Mapping[Ket, complex], modes: Iterable[ModeLabel] | None = None
     ) -> None:
-        registry = None if modes is None else frozenset(modes)
-        kept: dict[Ket, complex] = {}
-        n2 = 0.0
-        count = -1
-        tags: set[Polarization] = set()
-        occupied: set[ModeLabel] = set()
-        for ket, amp in terms.items():
-            a = complex(amp)
-            m2 = a.real * a.real + a.imag * a.imag
-            if not m2 >= DEFAULT_PRUNE_EPS:
-                if not m2 < DEFAULT_PRUNE_EPS:
-                    raise ValueError(f"amplitude {a} at {ket} is NaN")
-                continue
-            kept[ket] = a
-            n2 += m2
-            pol = ket._pol
-            if len(pol) != count:
-                if count >= 0:
-                    raise IncompatibleStates(
-                        f"photon count differs across kets: {count} and {len(pol)}")
-                count = len(pol)
-            tags.update(ket._tags)
-            occupied.update(pol)
-        if not kept:
-            raise ZeroState("state has no terms above the pruning threshold")
-
-        hv_used = Polarization.H in tags or Polarization.V in tags
-        if hv_used and Polarization.NONE in tags:
-            raise IncompatibleStates("kets mix tagged and untagged photons")
-        if n2 > _NORM_SQ_CAP:
-            raise ValueError(f"squared norm {n2} exceeds 1")
-        if registry is None:
-            registry = frozenset(occupied)
-        elif not occupied <= registry:
-            raise ValueError(f"terms occupy unregistered modes: {occupied - registry}")
-
-        _set(self, "_terms", kept)
-        _set(self, "_norm2", n2)
-        _set(self, "modes", registry)
-        _set(self, "photon_count", count)
-        _set(self, "uses_polarization", hv_used)
+        own = {ket: complex(amp) for ket, amp in terms.items()}
+        self._store(own, own, modes, -1, None)
 
     @classmethod
     def _derive(
@@ -270,12 +237,21 @@ class PureState:
         squared norm is re-summed over the kept terms in order, as the
         constructor sums it, so both give the same bits.
         """
-        registry = frozenset(modes)
-        count = parent.photon_count
-        hv_used = parent.uses_polarization
-        allowed = {Polarization.H, Polarization.V} if hv_used else {Polarization.NONE}
+        state = object.__new__(cls)
+        state._store(terms, added, modes, parent.photon_count, parent.uses_polarization)
+        return state
+
+    def _store(self, terms: dict[Ket, complex], checked: Iterable[Ket],
+               modes: Iterable[ModeLabel] | None, count: int, hv_used: bool | None) -> None:
+        """Check the ``checked`` kets of ``terms``, prune them, and set the slots.
+
+        With ``hv_used`` None the first kept ket sets the photon count and
+        convention; with ``modes`` None the kept kets' modes are the registry.
+        """
+        registry = None if modes is None else frozenset(modes)
+        allowed = None if hv_used is None else _TAGS_OF[hv_used]
         pruned = []
-        for ket in added:
+        for ket in checked:
             a = terms[ket]
             m2 = a.real * a.real + a.imag * a.imag
             if not m2 >= DEFAULT_PRUNE_EPS:
@@ -284,12 +260,15 @@ class PureState:
                 pruned.append(ket)
                 continue
             pol = ket._pol
+            if allowed is None:
+                count, hv_used = len(pol), not ket._tags <= _TAGS_OF[False]
+                allowed = _TAGS_OF[hv_used]
             if len(pol) != count:
                 raise IncompatibleStates(
                     f"photon count differs across kets: {count} and {len(pol)}")
             if not ket._tags <= allowed:
                 raise IncompatibleStates("kets mix tagged and untagged photons")
-            if not registry.issuperset(pol):
+            if registry is not None and not registry.issuperset(pol):
                 raise ValueError(f"terms occupy unregistered modes: {set(pol) - registry}")
         for ket in pruned:
             del terms[ket]
@@ -300,14 +279,18 @@ class PureState:
             n2 += a.real * a.real + a.imag * a.imag
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
+        if registry is None:
+            registry = frozenset().union(*[ket._pol for ket in terms])
 
-        state = object.__new__(cls)
-        _set(state, "_terms", terms)
-        _set(state, "_norm2", n2)
-        _set(state, "modes", registry)
-        _set(state, "photon_count", count)
-        _set(state, "uses_polarization", hv_used)
-        return state
+        _set(self, "_terms", terms)
+        _set(self, "_norm2", n2)
+        _set(self, "modes", registry)
+        _set(self, "photon_count", count)
+        _set(self, "uses_polarization", hv_used)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return PureState, (self._terms, self.modes)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")

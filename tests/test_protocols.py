@@ -1,5 +1,7 @@
 """Tests for state builders, the transmittance planner, and both drivers."""
+import copy
 import math
+import pickle
 from functools import reduce
 from operator import xor
 
@@ -334,6 +336,24 @@ def test_polarization_respects_phases():
     c = coeffs(*EXAMPLE, phases=[0.3, -1.2, 2.0])
     report = run_polarization_ecp(c)
     assert report.fidelity_to_target >= 1.0 - 1e-10
+
+
+def _state_facts(state):
+    return (list(state.terms.items()), state.modes, norm_squared(state).hex(),
+            state.photon_count, state.uses_polarization)
+
+
+@pytest.mark.parametrize("driver", [run_single_photon_ecp, run_polarization_ecp])
+def test_final_state_and_report_survive_copy_and_pickle(driver):
+    # a copy rebuilds through the validating constructor: same terms in the
+    # same order, registry, norm bits, photon count and convention
+    report = driver(WCoefficients.from_squared((0.5, 0.3, 0.2)))
+    state = report.final_state
+    for clone in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert _state_facts(clone) == _state_facts(state)
+    for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert clone == report
+        assert _state_facts(clone.final_state) == _state_facts(state)
 
 
 # --- cross-cutting properties -----------------------------------------------

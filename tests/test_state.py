@@ -242,6 +242,36 @@ def test_infinite_amplitude_rejected():
             PureState({single("a1"): inf, single("b1"): 0.5})
 
 
+TINY = 1e-9  # squared modulus 1e-18, below DEFAULT_PRUNE_EPS
+
+
+@pytest.mark.parametrize("terms, modes, kept", [
+    pytest.param({Ket((("a1", NONE), ("b1", NONE))): TINY, single("c1"): 0.5}, None,
+                 {single("c1"): 0.5}, id="pruned-extra-photon"),
+    pytest.param({Ket((("a1", H),)): TINY, single("c1"): 0.5}, None,
+                 {single("c1"): 0.5}, id="pruned-tagged"),
+    pytest.param({single("a1"): TINY, Ket((("c1", V),)): 0.5}, None,
+                 {Ket((("c1", V),)): 0.5}, id="pruned-untagged"),
+    pytest.param({single("zz"): TINY, single("c1"): 0.5}, ["c1"],
+                 {single("c1"): 0.5}, id="pruned-unregistered"),
+    pytest.param({Ket((("a1", H),)): 0.6, single("b1"): 0.8}, None,
+                 IncompatibleStates, id="tagged-first"),
+    pytest.param({Ket((("a1", H), ("b1", NONE))): 0.6}, None,
+                 IncompatibleStates, id="one-ket-both"),
+])
+def test_photon_count_and_convention_come_from_kept_terms(terms, modes, kept):
+    # a pruned first ket is never checked and sets nothing; kept kets that mix
+    # conventions are rejected whichever comes first
+    if kept is IncompatibleStates:
+        with pytest.raises(IncompatibleStates):
+            PureState(terms, modes=modes)
+        return
+    got, want = PureState(terms, modes=modes), PureState(kept, modes=modes)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert (got.modes, norm_squared(got), got.photon_count, got.uses_polarization) == (
+        want.modes, norm_squared(want), want.photon_count, want.uses_polarization)
+
+
 # --- derivation from a validated parent ----------------------------------
 
 PARENT_MODES = ("m0", "m1", "m2", "m3", "m4")
