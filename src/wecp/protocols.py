@@ -59,7 +59,9 @@ class WCoefficients:
             raise BadCoefficients("need at least two coefficients")
         if not all(map(cmath.isfinite, amps)):
             raise BadCoefficients(f"coefficients must be finite: {amps}")
-        total = sum(abs(a) ** 2 for a in amps)
+        total = 0.0
+        for a in amps:  # left to right: the builtin sum is compensated from 3.12
+            total += abs(a) ** 2
         if abs(total - 1.0) > 1e-9:
             raise BadCoefficients(f"squared moduli sum to {total}, not 1")
         norm = math.sqrt(total)

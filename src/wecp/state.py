@@ -46,8 +46,6 @@ class Polarization(Enum):
 
 
 _TAG_TEXT = {pol: pol.value for pol in Polarization}
-# the tags a state may carry, by whether it uses the polarization convention
-_TAGS_OF = {True: {Polarization.H, Polarization.V}, False: {Polarization.NONE}}
 
 # Per-photon hashes are kept to 63 bits, so their XOR is a non-negative
 # machine-size int that Python uses as the hash without reducing it again.
@@ -84,7 +82,7 @@ class Ket:
     by mode label and derived on demand. Kets are immutable.
     """
 
-    __slots__ = ("_pol", "_hash", "_tags")
+    __slots__ = ("_pol", "_hash")
 
     def __init__(self, photons: Iterable[tuple[ModeLabel, Polarization]]) -> None:
         self.__post_init__(tuple(photons))
@@ -95,7 +93,6 @@ class Ket:
             raise ModeCollision(f"duplicate occupancy in ket: {sorted(m for m, _ in photons)}")
         _set(self, "_pol", pol)
         _set(self, "_hash", reduce(xor, map(hash, photons), 0) & _HASH_MASK)
-        _set(self, "_tags", frozenset(pol.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ket is immutable")
@@ -180,17 +177,36 @@ def _relabel(
         new = object.__new__(Ket)
         _set(new, "_pol", moved)
         _set(new, "_hash", ket._hash ^ delta)
-        _set(new, "_tags", ket._tags)
         out.append(new)
     return out
+
+
+def _prune(terms: dict[Ket, complex], pairs: Iterable[tuple[Ket, complex]]) -> None:
+    """Delete from ``terms`` each ket of ``pairs`` whose squared amplitude is
+    below ``DEFAULT_PRUNE_EPS``. A NaN is never pruned but raises ValueError,
+    and ZeroState is raised when no term is left.
+    """
+    pruned = []
+    for ket, a in pairs:
+        m2 = a.real * a.real + a.imag * a.imag
+        if not m2 >= DEFAULT_PRUNE_EPS:
+            if not m2 < DEFAULT_PRUNE_EPS:
+                raise ValueError(f"amplitude {a} at {ket} is NaN")
+            pruned.append(ket)
+    for ket in pruned:
+        del terms[ket]
+    if not terms:
+        raise ZeroState("state has no terms above the pruning threshold")
 
 
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
-    Every state passes the same checks, whether the constructor or an optics
-    element builds it. A copied or unpickled state is rebuilt through the
-    constructor.
+    The constructor checks every kept term's structure: one photon count, one
+    convention, and only registered modes occupied. An optics element builds
+    its output from its validated parent by relabeling photons, which keeps
+    all three, so only the amplitudes it adds are checked again. A copied or
+    unpickled state is rebuilt through the constructor.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -211,77 +227,52 @@ class PureState:
 
     __slots__ = ("_terms", "_norm2", "modes", "photon_count", "uses_polarization")
 
-    def __init__(
-        self, terms: Mapping[Ket, complex], modes: Iterable[ModeLabel] | None = None
-    ) -> None:
+    def __init__(self, terms: Mapping[Ket, complex],
+                 modes: Iterable[ModeLabel] | None = None) -> None:
         own = {ket: complex(amp) for ket, amp in terms.items()}
-        self._store(own, own, modes, -1, None)
+        _prune(own, own.items())
+        pols = [ket._pol for ket in own]
+        counts = set(map(len, pols))
+        tags = set().union(*[pol.values() for pol in pols])
+        occupied = frozenset().union(*pols)
+        registry = occupied if modes is None else frozenset(modes)
+        if len(counts) > 1:
+            raise IncompatibleStates(f"photon count differs across kets: {sorted(counts)}")
+        if Polarization.NONE in tags and len(tags) > 1:
+            raise IncompatibleStates("kets mix tagged and untagged photons")
+        if not occupied <= registry:
+            raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
+        self._store(own, registry, counts.pop(), Polarization.NONE not in tags)
 
     @classmethod
-    def _derive(
-        cls,
-        parent: "PureState",
-        terms: dict[Ket, complex],
-        modes: Iterable[ModeLabel],
-        added: Iterable[Ket],
-    ) -> "PureState":
+    def _derive(cls, parent: "PureState", terms: dict[Ket, complex],
+                modes: Iterable[ModeLabel], added: Iterable[Ket]) -> "PureState":
         """An optics element's output, built from its validated parent.
 
-        ``added`` lists, once each, the kets of ``terms`` that the element
-        created or whose amplitude it changed. They get the constructor's
-        per-term checks (prune, NaN, photon count, convention, registry), held
-        to the parent's photon count and convention. Every other term must be
-        the parent's own term, unchanged, so it inherits the parent's checks;
-        the caller keeps every mode such a term occupies in ``modes``. Pruned
-        kets are deleted from ``terms``, which the new state then owns. The
-        squared norm is re-summed over the kept terms in order, as the
-        constructor sums it, so both give the same bits.
+        Precondition: every term of ``terms`` is a term of ``parent`` or a
+        ``_relabel`` of one, and ``modes`` registers every mode a term
+        occupies. A relabel keeps the photon count and every tag, so the
+        output needs none of the constructor's structure checks. ``added``
+        lists, once each, the kets that the element created or whose
+        amplitude it changed; only their amplitudes are checked (prune, NaN),
+        and every other term keeps its parent amplitude. Pruned kets are
+        deleted from ``terms``, which the new state then owns. The squared
+        norm is re-summed in term order, as the constructor sums it, so both
+        give the same bits.
         """
+        _prune(terms, [(ket, terms[ket]) for ket in added])
         state = object.__new__(cls)
-        state._store(terms, added, modes, parent.photon_count, parent.uses_polarization)
+        state._store(terms, frozenset(modes), parent.photon_count, parent.uses_polarization)
         return state
 
-    def _store(self, terms: dict[Ket, complex], checked: Iterable[Ket],
-               modes: Iterable[ModeLabel] | None, count: int, hv_used: bool | None) -> None:
-        """Check the ``checked`` kets of ``terms``, prune them, and set the slots.
-
-        With ``hv_used`` None the first kept ket sets the photon count and
-        convention; with ``modes`` None the kept kets' modes are the registry.
-        """
-        registry = None if modes is None else frozenset(modes)
-        allowed = None if hv_used is None else _TAGS_OF[hv_used]
-        pruned = []
-        for ket in checked:
-            a = terms[ket]
-            m2 = a.real * a.real + a.imag * a.imag
-            if not m2 >= DEFAULT_PRUNE_EPS:
-                if not m2 < DEFAULT_PRUNE_EPS:
-                    raise ValueError(f"amplitude {a} at {ket} is NaN")
-                pruned.append(ket)
-                continue
-            pol = ket._pol
-            if allowed is None:
-                count, hv_used = len(pol), not ket._tags <= _TAGS_OF[False]
-                allowed = _TAGS_OF[hv_used]
-            if len(pol) != count:
-                raise IncompatibleStates(
-                    f"photon count differs across kets: {count} and {len(pol)}")
-            if not ket._tags <= allowed:
-                raise IncompatibleStates("kets mix tagged and untagged photons")
-            if registry is not None and not registry.issuperset(pol):
-                raise ValueError(f"terms occupy unregistered modes: {set(pol) - registry}")
-        for ket in pruned:
-            del terms[ket]
-        if not terms:
-            raise ZeroState("state has no terms above the pruning threshold")
+    def _store(self, terms: dict[Ket, complex], registry: frozenset[ModeLabel],
+               count: int, hv_used: bool) -> None:
+        """Re-sum the squared norm in term order, cap it at 1, and set the slots."""
         n2 = 0.0
         for a in terms.values():
             n2 += a.real * a.real + a.imag * a.imag
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
-        if registry is None:
-            registry = frozenset().union(*[ket._pol for ket in terms])
-
         _set(self, "_terms", terms)
         _set(self, "_norm2", n2)
         _set(self, "modes", registry)

@@ -195,6 +195,20 @@ def test_cmd_run_direct():
     assert json.loads(buf.getvalue())["protocol"] == "polarization"
 
 
+@pytest.mark.parametrize("fid", [0.5, math.nan])
+def test_run_fails_on_a_low_or_nan_fidelity(monkeypatch, fid):
+    # run passes by the rule verify uses: the probability matches AND the
+    # fidelity is within tolerance of 1, so a NaN fidelity fails
+    real = cli._DRIVERS["polarization"]
+
+    def off_target(c):
+        report = real(c)
+        return RunReport(report.step_probs, report.total_prob, report.final_state, fid)
+
+    monkeypatch.setitem(cli._DRIVERS, "polarization", off_target)
+    assert cmd_run("polarization", (0.5, 0.3, 0.2), out=io.StringIO()) == 1
+
+
 # --- compare -----------------------------------------------------------------
 
 def test_compare_golden_bytes(capsys):

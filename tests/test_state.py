@@ -13,6 +13,7 @@ from wecp.state import (
     Polarization,
     PureState,
     ZeroState,
+    _relabel,
     fidelity,
     fresh_label,
     norm_squared,
@@ -276,7 +277,6 @@ def test_photon_count_and_convention_come_from_kept_terms(terms, modes, kept):
 
 PARENT_MODES = ("m0", "m1", "m2", "m3", "m4")
 NEW_MODES = ("n0", "n1", "n2")
-UNREGISTERED = "zz"
 
 
 def kets_of(count, tags, modes):
@@ -291,12 +291,25 @@ def phased(moduli):
 
 
 @st.composite
-def derivations(draw):
-    """An element-like output of a parent state, with at most one faulty added ket.
+def relabeled(draw, ket, tags):
+    """``ket`` after one or two ``_relabel`` moves, each into a free new mode."""
+    for _ in range(draw(st.integers(1, 2))):
+        free = [m for m in NEW_MODES if not ket.has(m)]
+        if not free:
+            break
+        src = draw(st.sampled_from(ket.modes))
+        ket = _relabel((ket,), src, {tag: draw(st.sampled_from(free)) for tag in tags})[0]
+    return ket
 
-    The output keeps a non-empty subset of the parent's terms unchanged, so
-    the public constructor and the derivation judge the same photon count and
-    convention, and mixes in added kets, some below the pruning threshold.
+
+@st.composite
+def derivations(draw):
+    """An element-like output of a parent state.
+
+    The output keeps some of the parent's terms unchanged and adds kets that
+    ``_relabel`` made from parent kets, as every element does. Added
+    amplitudes include values below the pruning threshold, and at most one
+    is NaN or large enough to lift the squared norm above 1.
     """
     count = draw(st.integers(1, 3))
     tags = draw(st.sampled_from([(H, V), (NONE,)]))
@@ -306,33 +319,24 @@ def derivations(draw):
     parent = PureState({k: draw(phased(st.floats(0.1, 0.35))) for k in parent_kets},
                        modes={m for k in parent_kets for m in k.modes} | vacuum)
 
-    carried = draw(st.lists(st.sampled_from(parent_kets), min_size=1, unique=True))
-    added_kets = [k for k in draw(st.lists(kets_of(count, tags, PARENT_MODES + NEW_MODES),
-                                           max_size=3, unique=True)) if k not in carried]
+    carried = draw(st.lists(st.sampled_from(parent_kets), unique=True))
+    # a relabeled ket holds a new mode, so it is never a parent ket
+    sources = draw(st.lists(st.sampled_from(parent_kets), min_size=1, max_size=4))
+    added_kets = list(dict.fromkeys(draw(relabeled(k, tags)) for k in sources))
     amps = st.one_of(phased(st.floats(0.0, 3e-8)), phased(st.floats(0.05, 0.3)))
     added = {k: draw(amps) for k in added_kets}
-
-    # the faulty ket is never a parent ket: it has a new mode or photon count
-    fault = draw(st.sampled_from(["none", "nan", "count", "convention", "registry", "norm"]))
-    amp = draw(phased(st.floats(0.05, 0.3)))
-    if fault == "count":
-        added[draw(kets_of(count + 1, tags, PARENT_MODES + NEW_MODES))] = amp
-    elif fault == "convention":
-        added[draw(kets_of(count, (NONE,) if H in tags else (H, V), NEW_MODES))] = amp
-    elif fault == "registry":
-        others = draw(kets_of(count - 1, tags, PARENT_MODES + NEW_MODES))
-        added[Ket(others.photons + ((UNREGISTERED, draw(st.sampled_from(tags))),))] = amp
-    elif fault == "nan":
-        added[draw(kets_of(count, tags, NEW_MODES))] = complex(math.nan, 0.0)
-    elif fault == "norm":
-        added[draw(kets_of(count, tags, NEW_MODES))] = 1.0 + 0j
+    fault = draw(st.sampled_from(["none", "nan", "norm"]))
+    if fault != "none":
+        added[draw(st.sampled_from(added_kets))] = (
+            complex(math.nan, 0.0) if fault == "nan" else draw(phased(st.floats(1.0, 1.5))))
 
     terms = dict(draw(st.permutations(
         [(k, parent.terms[k]) for k in carried] + list(added.items()))))
-    # the element consumed some modes no kept parent ket holds, and named new ones
-    free = sorted(parent.modes - {m for k in carried for m in k.modes})
+    # the element consumed some modes no kept ket holds, and named new ones
+    occupied = {m for k in terms for m in k.modes}
+    free = sorted(parent.modes - occupied)
     dropped = draw(st.sets(st.sampled_from(free))) if free else set()
-    modes = (parent.modes - dropped) | {m for k in added for m in k.modes if m != UNREGISTERED}
+    modes = (parent.modes - dropped) | occupied
     return parent, terms, modes, [k for k in terms if k in added]
 
 
@@ -347,12 +351,29 @@ def _state_or_error(build):
 
 @given(derivations())
 def test_derivation_matches_public_constructor(case):
-    # same kept terms in the same order, same registry, the same norm bits and
-    # the same verdict on a NaN, a wrong photon count or convention, an
-    # unregistered mode or a norm above 1 in an added ket
+    # kets relabeled from parent kets pass the constructor's structure checks
+    # unchecked: the same kept terms in the same order, the same registry, the
+    # same norm bits and the same verdict on a pruned, NaN or oversized amplitude
     parent, terms, modes, added = case
     reference = _state_or_error(lambda: PureState(dict(terms), modes=modes))
     assert _state_or_error(lambda: PureState._derive(parent, dict(terms), modes, added)) == reference
+
+
+def test_constructor_hashes_each_ket_once(monkeypatch):
+    # a 4-party polarization W state: one H photon among four V photons
+    parties = ["a1", "b1", "c1", "d1"]
+    terms = {Ket(tuple((m, H if m == hot else V) for m in parties)): 0.5 for hot in parties}
+    calls = []
+    original = Ket.__hash__
+
+    def counting(ket):
+        calls.append(ket)
+        return original(ket)
+
+    monkeypatch.setattr(Ket, "__hash__", counting)
+    state = PureState(terms)
+    assert len(calls) == len(terms)
+    assert list(state.terms) == list(terms)
 
 
 # --- norm_squared -------------------------------------------------------
