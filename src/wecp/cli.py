@@ -226,7 +226,7 @@ def cmd_verify(
 
     summary = {
         "trials": trials,
-        "n_range": list(n_range),
+        "n_range": list(n_range) if forced is None else [len(coeffs2)] * 2,
         "seed": seed,
         "max_abs_error": _worst(errors, max),
         "min_fidelity": _worst(fids, min),

@@ -106,11 +106,18 @@ def prior_total_prob(p: PriorEcpParams) -> float:
     Round probabilities never increase with the round index (``s_pow`` only
     shrinks and ``prod`` only grows), so once a round is exactly 0.0 every
     later round is too, and each series stops there: the zero rounds would
-    not change the sum, and skipping them bounds the cost for any cap.
+    not change the sum, and skipping them bounds the cost for any cap. Each
+    series is summed left to right: from Python 3.12 the builtin ``sum`` is
+    compensated, which would change the last bits on some versions only.
     """
     rounds1 = (prior_step1_prob(p, n) for n in range(1, p.iterations_step1 + 1))
     rounds2 = (prior_step2_prob(p, m) for m in range(1, p.iterations_step2 + 1))
-    return sum(takewhile(bool, rounds1), 0.0) * sum(takewhile(bool, rounds2), 0.0)
+    total1 = total2 = 0.0
+    for r in takewhile(bool, rounds1):
+        total1 += r
+    for r in takewhile(bool, rounds2):
+        total2 += r
+    return total1 * total2
 
 
 def _current_curve_label(caps: Mapping[str, tuple[int, int]]) -> str:

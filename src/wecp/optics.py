@@ -111,30 +111,31 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     # occupied by a photon the element does not touch.
     registered = [out for out in (s.out_transmit, s.out_reflect) if out in state.modes]
     new_terms: dict[Ket, complex] = {}
-    added = []
     for ket, amp in state._terms.items():
         pol = ket._pol
         if s.input in pol:
-            # move raises ModeCollision when an output is taken
-            kt = ket.move(s.input, s.out_transmit)
-            kr = ket.move(s.input, s.out_reflect)
-            new_terms[kt] = new_terms.get(kt, 0j) + amp * amp_t
-            new_terms[kr] = new_terms.get(kr, 0j) + amp * amp_r
-            added += (kt, kr)
+            # move raises ModeCollision when an output is taken, and the scan
+            # below when a bystander holds one, so a split ket meets no term
+            new_terms[ket.move(s.input, s.out_transmit)] = amp * amp_t
+            new_terms[ket.move(s.input, s.out_reflect)] = amp * amp_r
         else:
             for out in registered:
                 if out in pol:
                     raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
-            # a split ket equal to this one would hold an output: the scan raised
             new_terms[ket] = amp
 
-    modes = set(state.modes) | {s.out_transmit, s.out_reflect}
-    modes.discard(s.input)  # input port is consumed by the element
-    return PureState._derive(state, new_terms, modes, added)
+    # the input port is consumed by the element
+    return PureState._derive(state, new_terms,
+                             state.modes - {s.input} | {s.out_transmit, s.out_reflect})
 
 
 def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
-    """Route photons by polarization through one PBS. Norm is preserved exactly."""
+    """Route photons by polarization through one PBS.
+
+    The norm is preserved when no output mode is registered in the input,
+    which holds in every circuit because each mints its outputs. A registered
+    output may merge a routed ket with a bystander term, amplitudes summed.
+    """
     if not state.uses_polarization:
         raise WrongConvention("PBS needs H/V-tagged photons")
     if w.in_a not in state.modes:
@@ -157,12 +158,8 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     for ket, amp in zip(kets, state._terms.values()):
         new_terms[ket] = new_terms.get(ket, 0j) + amp
 
-    modes = set(state.modes) | {w.out_c, w.out_d}
-    modes.discard(w.in_a)
-    if w.in_b is not None:
-        modes.discard(w.in_b)
-    # check every term: most kets moved, and a bystander may have merged with one
-    return PureState._derive(state, new_terms, modes, new_terms)
+    return PureState._derive(state, new_terms,
+                             state.modes - {w.in_a, w.in_b} | {w.out_c, w.out_d})
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
@@ -182,6 +179,6 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     kept = {ket: amp for ket, amp in state._terms.items() if mode not in ket._pol}
     if not kept:
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    kept_state = PureState._derive(state, kept, state.modes, ())
+    kept_state = PureState._derive(state, kept, state.modes)
     probability = norm_squared(kept_state) / norm_squared(state)
     return BranchOutcome(kept_state=kept_state, probability=probability)

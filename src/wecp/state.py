@@ -181,31 +181,35 @@ def _relabel(
     return out
 
 
-def _prune(terms: dict[Ket, complex], pairs: Iterable[tuple[Ket, complex]]) -> None:
-    """Delete from ``terms`` each ket of ``pairs`` whose squared amplitude is
-    below ``DEFAULT_PRUNE_EPS``. A NaN is never pruned but raises ValueError,
-    and ZeroState is raised when no term is left.
-    """
+def _prune(terms: dict[Ket, complex]) -> float:
+    """Every state's one amplitude pass: delete each term below
+    ``DEFAULT_PRUNE_EPS`` and return the kept squared norm, summed in term
+    order. A NaN is never pruned but raises ValueError, and ZeroState is
+    raised when no term is left."""
+    n2 = 0.0
     pruned = []
-    for ket, a in pairs:
+    for ket, a in terms.items():
         m2 = a.real * a.real + a.imag * a.imag
-        if not m2 >= DEFAULT_PRUNE_EPS:
-            if not m2 < DEFAULT_PRUNE_EPS:
-                raise ValueError(f"amplitude {a} at {ket} is NaN")
+        if m2 >= DEFAULT_PRUNE_EPS:
+            n2 += m2
+        elif m2 < DEFAULT_PRUNE_EPS:
             pruned.append(ket)
+        else:
+            raise ValueError(f"amplitude {a} at {ket} is NaN")
     for ket in pruned:
         del terms[ket]
     if not terms:
         raise ZeroState("state has no terms above the pruning threshold")
+    return n2
 
 
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
-    The constructor checks every kept term's structure: one photon count, one
-    convention, and only registered modes occupied. An optics element builds
-    its output from its validated parent by relabeling photons, which keeps
-    all three, so only the amplitudes it adds are checked again. A copied or
+    Every state's amplitudes go through one pass (prune, NaN, squared norm).
+    The constructor also checks each kept term's photon count, convention and
+    modes. An optics element relabels photons of its validated parent, which
+    keeps all three, so only the amplitude pass runs again. A copied or
     unpickled state is rebuilt through the constructor.
 
     Args:
@@ -230,7 +234,7 @@ class PureState:
     def __init__(self, terms: Mapping[Ket, complex],
                  modes: Iterable[ModeLabel] | None = None) -> None:
         own = {ket: complex(amp) for ket, amp in terms.items()}
-        _prune(own, own.items())
+        n2 = _prune(own)
         pols = [ket._pol for ket in own]
         counts = set(map(len, pols))
         tags = set().union(*[pol.values() for pol in pols])
@@ -242,35 +246,27 @@ class PureState:
             raise IncompatibleStates("kets mix tagged and untagged photons")
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
-        self._store(own, registry, counts.pop(), Polarization.NONE not in tags)
+        self._store(own, n2, registry, counts.pop(), Polarization.NONE not in tags)
 
     @classmethod
     def _derive(cls, parent: "PureState", terms: dict[Ket, complex],
-                modes: Iterable[ModeLabel], added: Iterable[Ket]) -> "PureState":
+                registry: frozenset[ModeLabel]) -> "PureState":
         """An optics element's output, built from its validated parent.
 
         Precondition: every term of ``terms`` is a term of ``parent`` or a
-        ``_relabel`` of one, and ``modes`` registers every mode a term
+        ``_relabel`` of one, and ``registry`` registers every mode a term
         occupies. A relabel keeps the photon count and every tag, so the
-        output needs none of the constructor's structure checks. ``added``
-        lists, once each, the kets that the element created or whose
-        amplitude it changed; only their amplitudes are checked (prune, NaN),
-        and every other term keeps its parent amplitude. Pruned kets are
-        deleted from ``terms``, which the new state then owns. The squared
-        norm is re-summed in term order, as the constructor sums it, so both
-        give the same bits.
+        output needs none of the constructor's structure checks, only its
+        amplitude pass, so both give the same terms and norm bits. Pruned
+        kets are deleted from ``terms``, which the new state then owns.
         """
-        _prune(terms, [(ket, terms[ket]) for ket in added])
         state = object.__new__(cls)
-        state._store(terms, frozenset(modes), parent.photon_count, parent.uses_polarization)
+        state._store(terms, _prune(terms), registry, parent.photon_count, parent.uses_polarization)
         return state
 
-    def _store(self, terms: dict[Ket, complex], registry: frozenset[ModeLabel],
+    def _store(self, terms: dict[Ket, complex], n2: float, registry: frozenset[ModeLabel],
                count: int, hv_used: bool) -> None:
-        """Re-sum the squared norm in term order, cap it at 1, and set the slots."""
-        n2 = 0.0
-        for a in terms.values():
-            n2 += a.real * a.real + a.imag * a.imag
+        """Cap the squared norm at 1 and set the slots."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
         _set(self, "_terms", terms)
@@ -344,12 +340,8 @@ def fresh_label(taken: Collection[ModeLabel], base: ModeLabel) -> ModeLabel:
     "a1" yields "a2", "a3", ... Callers pass the full set of labels in play;
     that keeps generated labels from ever colliding with user-supplied ones.
     """
-    stem = base.rstrip("0123456789")
-    if not stem:
-        stem = base
-        suffix = ""
-    else:
-        suffix = base[len(stem):]
+    stem = base.rstrip("0123456789") or base
+    suffix = base[len(stem):]
     k = int(suffix) + 1 if suffix else 1
     while f"{stem}{k}" in taken:
         k += 1

@@ -359,11 +359,13 @@ def test_verify_small_batch(capsys):
 def test_verify_forced_coefficients(capsys):
     code, out, _ = run_main(capsys, [
         "verify", "--trials", "1", "--seed", "0",
-        "--coeffs2", "0.5,0.3,0.2"])
+        "--coeffs2", "0.5,0.3,0.2", "--n-range", "5,9"])
     assert code == 0
     summary = json.loads(out)
     assert summary["trials"] == 1
     assert summary["max_abs_error"] < 1e-10
+    # the echo names the N that ran, not the range that was asked for
+    assert summary["n_range"] == [3, 3]
 
 
 def test_verify_zero_trials_usage_error(capsys):

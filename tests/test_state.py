@@ -306,10 +306,11 @@ def relabeled(draw, ket, tags):
 def derivations(draw):
     """An element-like output of a parent state.
 
-    The output keeps some of the parent's terms unchanged and adds kets that
+    The output keeps some of the parent's terms and adds kets that
     ``_relabel`` made from parent kets, as every element does. Added
-    amplitudes include values below the pruning threshold, and at most one
-    is NaN or large enough to lift the squared norm above 1.
+    amplitudes include values below the pruning threshold. At most one
+    amplitude, on a carried or an added ket, is NaN or large enough to lift
+    the squared norm above 1.
     """
     count = draw(st.integers(1, 3))
     tags = draw(st.sampled_from([(H, V), (NONE,)]))
@@ -324,20 +325,18 @@ def derivations(draw):
     sources = draw(st.lists(st.sampled_from(parent_kets), min_size=1, max_size=4))
     added_kets = list(dict.fromkeys(draw(relabeled(k, tags)) for k in sources))
     amps = st.one_of(phased(st.floats(0.0, 3e-8)), phased(st.floats(0.05, 0.3)))
-    added = {k: draw(amps) for k in added_kets}
+    terms = dict(draw(st.permutations(
+        [(k, parent.terms[k]) for k in carried] + [(k, draw(amps)) for k in added_kets])))
     fault = draw(st.sampled_from(["none", "nan", "norm"]))
     if fault != "none":
-        added[draw(st.sampled_from(added_kets))] = (
+        terms[draw(st.sampled_from(list(terms)))] = (
             complex(math.nan, 0.0) if fault == "nan" else draw(phased(st.floats(1.0, 1.5))))
-
-    terms = dict(draw(st.permutations(
-        [(k, parent.terms[k]) for k in carried] + list(added.items()))))
     # the element consumed some modes no kept ket holds, and named new ones
     occupied = {m for k in terms for m in k.modes}
     free = sorted(parent.modes - occupied)
     dropped = draw(st.sets(st.sampled_from(free))) if free else set()
     modes = (parent.modes - dropped) | occupied
-    return parent, terms, modes, [k for k in terms if k in added]
+    return parent, terms, modes
 
 
 def _state_or_error(build):
@@ -353,10 +352,11 @@ def _state_or_error(build):
 def test_derivation_matches_public_constructor(case):
     # kets relabeled from parent kets pass the constructor's structure checks
     # unchecked: the same kept terms in the same order, the same registry, the
-    # same norm bits and the same verdict on a pruned, NaN or oversized amplitude
-    parent, terms, modes, added = case
+    # same norm bits and the same verdict on a pruned, NaN or oversized
+    # amplitude, wherever it sits
+    parent, terms, modes = case
     reference = _state_or_error(lambda: PureState(dict(terms), modes=modes))
-    assert _state_or_error(lambda: PureState._derive(parent, dict(terms), modes, added)) == reference
+    assert _state_or_error(lambda: PureState._derive(parent, dict(terms), modes)) == reference
 
 
 def test_constructor_hashes_each_ket_once(monkeypatch):
