@@ -195,7 +195,7 @@ def cmd_verify(
         if trials < 1:
             raise BadCoefficients(f"need at least one trial, got {trials}")
         lo, hi = n_range
-        if not (2 <= lo <= hi):
+        if coeffs2 is None and not (2 <= lo <= hi):  # the range is read only to sample
             raise BadCoefficients(f"bad party-count range {n_range}")
         if seed < 0:
             raise UsageError(f"seed must be nonnegative, got {seed}")
@@ -219,7 +219,7 @@ def cmd_verify(
             if not _passes(err, report.fidelity_to_target):
                 failures.append({
                     "protocol": name,
-                    "coeffs2": [abs(a) ** 2 for a in coeffs.amps],
+                    "coeffs2": list(coeffs.moduli_squared),
                     "error": err,
                     "fidelity": report.fidelity_to_target,
                 })

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .state import (
     Ket,
@@ -47,7 +48,7 @@ class VbsSetting:
     2x2 beam-splitter unitary carries a relative phase on its second input
     port, but that port is vacuum in every circuit here, so this single-column
     convention is unitary on the occupied subspace. All three labels must be
-    distinct: both outputs are new modes, never the input renamed.
+    distinct, and the outputs must be new modes (``_ports``).
     """
 
     input: ModeLabel
@@ -70,8 +71,8 @@ class PbsWiring:
 
     Routing per photon: (in_a, H) -> out_c, (in_a, V) -> out_d,
     (in_b, H) -> out_d, (in_b, V) -> out_c. ``in_b`` may be None for the
-    common case of a vacuum second port. All labels must be distinct; output
-    modes are always freshly named rather than reusing input names.
+    common case of a vacuum second port. All labels must be distinct; the
+    inputs must be registered and the outputs new modes (``_ports``).
     """
 
     in_a: ModeLabel
@@ -93,73 +94,67 @@ class BranchOutcome:
     probability: float
 
 
+def _ports(state: PureState, element: str, consumed: Iterable[ModeLabel],
+           minted: Iterable[ModeLabel]) -> frozenset[ModeLabel]:
+    """The port rule of both splitters: an element consumes only registered
+    modes and mints only unregistered ones, so no term holds a photon on an
+    output before the element moves one there. Returns the output registry.
+
+    Raises:
+        UnknownMode: a consumed mode is not registered.
+        ModeCollision: a minted mode is already registered.
+    """
+    for mode in consumed:
+        if mode not in state.modes:
+            raise UnknownMode(f"{element} input mode {mode!r} does not exist")
+    for mode in minted:
+        if mode in state.modes:
+            raise ModeCollision(f"{element} output mode {mode!r} is already registered")
+    return state.modes.difference(consumed).union(minted)
+
+
 def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     """Split the photon in ``s.input`` over the two output modes.
 
-    Kets holding a photon in the input mode become two kets, with amplitudes
+    The input must be registered and both outputs new (``_ports``). Kets
+    holding a photon in the input mode become two kets, with amplitudes
     scaled by sqrt(t) (photon in ``out_transmit``) and sqrt(1-t) (photon in
     ``out_reflect``); the polarization tag travels with the photon. Kets
     without a photon there pass through untouched. Total squared norm is
     preserved.
     """
-    if s.input not in state.modes:
-        raise UnknownMode(f"VBS input mode {s.input!r} does not exist")
-
+    registry = _ports(state, "VBS", (s.input,), (s.out_transmit, s.out_reflect))
     amp_t = math.sqrt(s.transmittance)
     amp_r = math.sqrt(1.0 - s.transmittance)
-    # No ket holds an unregistered mode, so only a registered output can be
-    # occupied by a photon the element does not touch.
-    registered = [out for out in (s.out_transmit, s.out_reflect) if out in state.modes]
     new_terms: dict[Ket, complex] = {}
     for ket, amp in state._terms.items():
-        pol = ket._pol
-        if s.input in pol:
-            # move raises ModeCollision when an output is taken, and the scan
-            # below when a bystander holds one, so a split ket meets no term
+        if s.input in ket._pol:
             new_terms[ket.move(s.input, s.out_transmit)] = amp * amp_t
             new_terms[ket.move(s.input, s.out_reflect)] = amp * amp_r
         else:
-            for out in registered:
-                if out in pol:
-                    raise ModeCollision(f"VBS output mode {out!r} already occupied in {ket}")
             new_terms[ket] = amp
-
-    # the input port is consumed by the element
-    return PureState._derive(state, new_terms,
-                             state.modes - {s.input} | {s.out_transmit, s.out_reflect})
+    return PureState._derive(state, new_terms, registry)
 
 
 def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     """Route photons by polarization through one PBS.
 
-    The norm is preserved when no output mode is registered in the input,
-    which holds in every circuit because each mints its outputs. A registered
-    output may merge a routed ket with a bystander term, amplitudes summed.
+    The inputs must be registered and both outputs new (``_ports``), so each
+    ket maps to its own ket and the norm is preserved exactly.
     """
     if not state.uses_polarization:
         raise WrongConvention("PBS needs H/V-tagged photons")
-    if w.in_a not in state.modes:
-        raise UnknownMode(f"PBS input mode {w.in_a!r} does not exist")
-    if w.in_b is not None and w.in_b not in state.modes:
-        raise UnknownMode(f"PBS input mode {w.in_b!r} does not exist")
-
-    # (input mode, output per tag); only these photons move.
+    # input mode -> output per tag; only these photons move
     H, V = Polarization.H, Polarization.V
-    ports = [(w.in_a, {H: w.out_c, V: w.out_d})]
+    ports = {w.in_a: {H: w.out_c, V: w.out_d}}
     if w.in_b is not None:
-        ports.append((w.in_b, {H: w.out_d, V: w.out_c}))
-
-    # Outputs are never input labels, so a move that finds its output taken
-    # has met a bystander or the photon routed from the other input port.
+        ports[w.in_b] = {H: w.out_d, V: w.out_c}
+    registry = _ports(state, "PBS", ports, (w.out_c, w.out_d))
+    # a move that finds its output taken has met the other input's photon
     kets = state._terms.keys()
-    for src, route in ports:
+    for src, route in ports.items():
         kets = _relabel(kets, src, route)
-    new_terms: dict[Ket, complex] = {}
-    for ket, amp in zip(kets, state._terms.values()):
-        new_terms[ket] = new_terms.get(ket, 0j) + amp
-
-    return PureState._derive(state, new_terms,
-                             state.modes - {w.in_a, w.in_b} | {w.out_c, w.out_d})
+    return PureState._derive(state, dict(zip(kets, state._terms.values())), registry)
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:

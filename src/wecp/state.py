@@ -254,11 +254,13 @@ class PureState:
         """An optics element's output, built from its validated parent.
 
         Precondition: every term of ``terms`` is a term of ``parent`` or a
-        ``_relabel`` of one, and ``registry`` registers every mode a term
-        occupies. A relabel keeps the photon count and every tag, so the
-        output needs none of the constructor's structure checks, only its
-        amplitude pass, so both give the same terms and norm bits. Pruned
-        kets are deleted from ``terms``, which the new state then owns.
+        ``_relabel`` of one, no two relabelled terms meet, and ``registry``
+        registers every mode a term occupies. The optics port rule (consume
+        registered modes, mint new ones) keeps all three. A relabel keeps the
+        photon count and every tag, so the output needs none of the
+        constructor's structure checks, only its amplitude pass, so both give
+        the same terms and norm bits. Pruned kets are deleted from ``terms``,
+        which the new state then owns.
         """
         state = object.__new__(cls)
         state._store(terms, _prune(terms), registry, parent.photon_count, parent.uses_polarization)

@@ -357,15 +357,18 @@ def test_verify_small_batch(capsys):
 
 
 def test_verify_forced_coefficients(capsys):
-    code, out, _ = run_main(capsys, [
-        "verify", "--trials", "1", "--seed", "0",
-        "--coeffs2", "0.5,0.3,0.2", "--n-range", "5,9"])
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["trials"] == 1
-    assert summary["max_abs_error"] < 1e-10
-    # the echo names the N that ran, not the range that was asked for
-    assert summary["n_range"] == [3, 3]
+    # the echo names the N that ran, not the range that was asked for; a range
+    # no trial samples from is never read, so even 1,1 is no error
+    for coeffs2, n_range, echo in (("0.5,0.3,0.2", "5,9", [3, 3]),
+                                   ("0.5,0.5", "1,1", [2, 2])):
+        code, out, _ = run_main(capsys, [
+            "verify", "--trials", "1", "--seed", "0",
+            "--coeffs2", coeffs2, "--n-range", n_range])
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["trials"] == 1
+        assert summary["max_abs_error"] < 1e-10
+        assert summary["n_range"] == echo
 
 
 def test_verify_zero_trials_usage_error(capsys):

@@ -104,6 +104,10 @@ def test_vbs_output_collision():
     s = PureState({Ket((("a", NONE), ("b", NONE))): 1.0})
     with pytest.raises(ModeCollision):
         apply_vbs(s, VbsSetting("a", "b", "c", 0.5))
+    # an output aimed at a registered vacuum mode collides too
+    s = PureState({single("a"): 1.0}, modes=["a", "v"])
+    with pytest.raises(ModeCollision):
+        apply_vbs(s, VbsSetting("a", "c", "v", 0.5))
     # any two equal labels are rejected, an output named like the input too
     for labels in (("a", "c", "c"), ("a", "a", "c"), ("a", "c", "a")):
         with pytest.raises(ModeCollision):
@@ -199,10 +203,26 @@ def test_pbs_collision_with_bystander_on_output():
     s = PureState({pol_ket(("a1", V), ("d1", H)): 1.0}, modes=["a1", "c1", "d1"])
     with pytest.raises(ModeCollision):
         apply_pbs(s, PbsWiring("a1", None, "c1", "d1"))
+    # a bystander in another ket: routing onto it would merge the two kets
+    # and lose norm (1.0 -> 0.04), so the registered output is refused
+    s = PureState({pol_ket(("a", H)): 0.6, pol_ket(("c", H)): -0.8}, modes=["a", "c"])
+    with pytest.raises(ModeCollision):
+        apply_pbs(s, PbsWiring("a", None, "c", "d"))
+
+
+def _reference_ports(state, consumed, minted):
+    """Reference port rule: the registry after the element, or the error."""
+    if not set(consumed) <= state.modes:
+        raise UnknownMode("reference input unregistered")
+    if set(minted) & state.modes:
+        raise ModeCollision("reference output registered")
+    return (set(state.modes) | set(minted)) - set(consumed)
 
 
 def _route_every_photon(state, w):
-    """Reference PBS: rebuild each ket by routing all of its photons."""
+    """Reference PBS: check the ports, then rebuild each ket by routing all
+    of its photons."""
+    modes = _reference_ports(state, {w.in_a, w.in_b} - {None}, (w.out_c, w.out_d))
     def route(mode, pol):
         if mode == w.in_a:
             return w.out_c if pol is H else w.out_d
@@ -215,13 +235,12 @@ def _route_every_photon(state, w):
         routed = tuple((route(m, pol), pol) for m, pol in ket.photons)
         if len({m for m, _ in routed}) != len(routed):
             raise ModeCollision("reference routing collides")
-        k = Ket(routed)
-        terms[k] = terms.get(k, 0j) + amp
-    modes = (set(state.modes) | {w.out_c, w.out_d}) - {w.in_a, w.in_b}
+        terms[Ket(routed)] = amp
     return PureState(terms, modes=modes)
 
 
 POOL = tuple(f"m{i}" for i in range(7))
+NEW = ("n0", "n1", "n2")  # never registered
 
 
 @st.composite
@@ -236,10 +255,17 @@ def pbs_cases(draw, tags=(H, V)):
     for photons in kets:
         terms[Ket(photons)] = 1.0
     norm = math.sqrt(len(terms))
-    state = PureState({k: a / norm for k, a in terms.items()}, modes=POOL)
-    labels = draw(st.permutations(POOL))
-    in_b = labels[1] if draw(st.booleans()) else None
-    return state, PbsWiring(labels[0], in_b, labels[2], labels[3])
+    # The occupied modes and a drawn share of the vacuum ones are registered.
+    # Inputs are the registered modes in a drawn order, then "zz", which is
+    # never registered; outputs are two other labels of POOL and NEW, so each
+    # may name a registered mode or a new one.
+    vacuum = draw(st.sets(st.sampled_from(POOL)))
+    modes = vacuum.union(*(k.modes for k in terms))
+    state = PureState({k: a / norm for k, a in terms.items()}, modes=modes)
+    ins = draw(st.permutations(sorted(modes))) + ["zz"]
+    in_b = ins[1] if draw(st.booleans()) else None
+    outs = draw(st.permutations([m for m in POOL + NEW if m not in (ins[0], in_b)]))
+    return state, PbsWiring(ins[0], in_b, outs[0], outs[1])
 
 
 # Elements derive their output from the validated input state; the references
@@ -257,40 +283,41 @@ def _outcome(element, state, wiring):
 
 @given(pbs_cases())
 def test_pbs_matches_routing_every_photon(case):
-    # Outputs may name registered modes here, so bystander collisions and
-    # merged kets (norm above 1) occur alongside clean routings.
+    # Outputs may be registered and in_b is "zz" when one mode is, so both
+    # port errors occur alongside clean routings, which keep the norm bits.
     state, wiring = case
-    assert _outcome(apply_pbs, state, wiring) == _outcome(_route_every_photon, state, wiring)
+    outcome = _outcome(apply_pbs, state, wiring)
+    assert outcome == _outcome(_route_every_photon, state, wiring)
+    if not isinstance(outcome, type):
+        assert outcome[2] == norm_squared(state)
 
 
 def _split_every_ket(state, s):
-    """Reference VBS: rebuild each ket from its photon list, checking outputs."""
+    """Reference VBS: check the ports, then rebuild each ket from its photon list."""
     split = (math.sqrt(s.transmittance), math.sqrt(1.0 - s.transmittance))
     outs = (s.out_transmit, s.out_reflect)
+    modes = _reference_ports(state, (s.input,), outs)
     terms = {}
     for ket, amp in state.terms.items():
         photons = dict(ket.photons)
         tag = photons.pop(s.input, None)
-        if any(out in photons for out in outs):
-            raise ModeCollision("reference split collides")
         if tag is None:
-            terms[ket] = terms.get(ket, 0j) + amp
+            terms[ket] = amp
             continue
         for out, factor in zip(outs, split):
-            k = Ket(tuple(photons.items()) + ((out, tag),))
-            terms[k] = terms.get(k, 0j) + amp * factor
-    modes = (set(state.modes) | set(outs)) - {s.input}
+            terms[Ket(tuple(photons.items()) + ((out, tag),))] = amp * factor
     return PureState(terms, modes=modes)
 
 
 ANY_CONVENTION = st.sampled_from([(H, V), (NONE,)]).flatmap(pbs_cases)
 
 
-@given(ANY_CONVENTION, st.permutations(POOL), st.floats(0.0, 1.0))
-def test_vbs_matches_splitting_every_ket(case, labels, t):
-    # Outputs may be a bystander's mode or a free mode, never the input.
-    state, _ = case
-    setting = VbsSetting(labels[2], labels[0], labels[1], t)
+@given(ANY_CONVENTION, st.floats(0.0, 1.0))
+def test_vbs_matches_splitting_every_ket(case, t):
+    # The PBS draw's labels: a registered input, and outputs that may be
+    # registered or new.
+    state, w = case
+    setting = VbsSetting(w.in_a, w.out_c, w.out_d, t)
     assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
 
 
