@@ -30,6 +30,7 @@ from .protocols import (
     run_polarization_ecp,
     run_single_photon_ecp,
 )
+from .state import _left_sum
 
 MATCH_TOL = 1e-10
 FIDELITY_TOL = 1e-10
@@ -45,11 +46,10 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors keep the exit-2 JSON contract."""
+    """Argument parser whose usage errors raise, for ``main`` to report."""
 
     def error(self, message: str) -> NoReturn:
-        _fail_validation(UsageError(f"{self.prog}: {message}"))
-        self.exit(2)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _passes(error: float, fid: float) -> bool:
@@ -131,7 +131,6 @@ def cmd_run(
 def cmd_compare(
     points: int,
     caps: Sequence[tuple[int, int]],
-    alpha_grid: Sequence[float] | None = None,
     out: TextIO | None = None,
 ) -> int:
     """Emit the comparison sweep as CSV (alpha, curve, probability)."""
@@ -141,7 +140,7 @@ def cmd_compare(
             raise DomainError("need at least one cap pair")
         if any(n < 1 or m < 1 for n, m in caps):
             raise DomainError(f"round caps must be positive: {list(caps)}")
-        grid = _alpha_points(points) if alpha_grid is None else tuple(alpha_grid)
+        grid = _alpha_points(points)
     except DomainError as exc:
         return _fail_validation(exc)
 
@@ -164,9 +163,7 @@ def _sample_coefficients(rng: random.Random, n: int) -> WCoefficients:
     # Dirichlet(1, ..., 1): n unit-rate exponential draws over their sum.
     while True:
         draws = [rng.expovariate(1.0) for _ in range(n)]
-        total = 0.0
-        for x in draws:  # left to right: the builtin sum is compensated from 3.12
-            total += x
+        total = _left_sum(draws, 0.0)
         c2 = tuple(x / total for x in draws)
         if min(c2) >= 1e-12:
             break
@@ -275,38 +272,34 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("ECP_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"ECP_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
-    if args.command == "run":
-        try:
+    """Run the command line ``argv``; one that does not parse exits 2 unrun."""
+    try:
+        args = _shared_parser().parse_args(argv)
+        if args.command == "run":
             coeffs2 = _parse_floats(args.coeffs2)
             phases = _parse_floats(args.phases) if args.phases is not None else None
-        except BadCoefficients as exc:
-            return _fail_validation(exc)
-        return cmd_run(args.protocol, coeffs2, phases, args.output_format)
-    if args.command == "compare":
-        try:
-            caps = tuple(
-                (int(a), int(b))
-                for a, b in (pair.split(",") for pair in args.caps)
-            )
-        except ValueError as exc:
-            return _fail_validation(exc)
-        return cmd_compare(args.points, caps)
-    # verify
-    try:
-        lo, hi = (int(x) for x in args.n_range.split(","))
-        coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 is not None else None
-    except (ValueError, BadCoefficients) as exc:
+            run = functools.partial(cmd_run, args.protocol, coeffs2, phases, args.output_format)
+        elif args.command == "compare":
+            pairs = (pair.split(",") for pair in args.caps)
+            caps = tuple((int(a), int(b)) for a, b in pairs)
+            run = functools.partial(cmd_compare, args.points, caps)
+        else:
+            lo, hi = (int(x) for x in args.n_range.split(","))
+            coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 is not None else None
+            seed = args.seed if args.seed is not None else _env_seed()
+            run = functools.partial(cmd_verify, args.trials, (lo, hi), seed, coeffs2)
+    except ValueError as exc:
         return _fail_validation(exc)
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("ECP_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            return _fail_validation(UsageError(f"ECP_SEED must be an integer, got {raw!r}"))
-    return cmd_verify(args.trials, (lo, hi), seed, coeffs2)
+    return run()
 
 
 if __name__ == "__main__":

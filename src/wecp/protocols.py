@@ -26,6 +26,7 @@ from .state import (
     ModeLabel,
     Polarization,
     PureState,
+    _left_sum,
     fidelity,
     fresh_label,
 )
@@ -59,9 +60,7 @@ class WCoefficients:
             raise BadCoefficients("need at least two coefficients")
         if not all(map(cmath.isfinite, amps)):
             raise BadCoefficients(f"coefficients must be finite: {amps}")
-        total = 0.0
-        for a in amps:  # left to right: the builtin sum is compensated from 3.12
-            total += abs(a) ** 2
+        total = _left_sum((abs(a) ** 2 for a in amps), 0.0)
         if abs(total - 1.0) > 1e-9:
             raise BadCoefficients(f"squared moduli sum to {total}, not 1")
         norm = math.sqrt(total)

@@ -181,6 +181,16 @@ def _relabel(
     return out
 
 
+def _left_sum(values: Iterable, start):
+    """``start`` plus each of ``values``, left to right: every sum that feeds an
+    output (``_prune`` fuses the same loop). The builtin ``sum`` is compensated
+    from Python 3.12 (floats) or 3.14 (complex), so its bits vary by version."""
+    total = start
+    for x in values:
+        total += x
+    return total
+
+
 def _prune(terms: dict[Ket, complex]) -> float:
     """Every state's one amplitude pass: delete each term below
     ``DEFAULT_PRUNE_EPS`` and return the kept squared norm, summed in term
@@ -330,7 +340,7 @@ def fidelity(a: PureState, b: PureState) -> float:
         ((_ket_key(k), x, y) for k, x in a._terms.items() if (y := tb.get(k)) is not None),
         key=itemgetter(0),
     )
-    overlap = sum((x.conjugate() * y for _, x, y in shared), start=0j)
+    overlap = _left_sum((x.conjugate() * y for _, x, y in shared), 0j)
     f = abs(overlap) ** 2 / (norm_squared(a) * norm_squared(b))
     return min(max(f, 0.0), 1.0)
 

@@ -8,9 +8,10 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import wecp
 from wecp import cli
@@ -233,15 +234,24 @@ def test_compare_deterministic(capsys):
     assert first == second
 
 
-def test_compare_counts_omitted_rows():
+def test_compare_counts_omitted_rows(monkeypatch):
+    # an alpha the sweep cannot evaluate loses its rows and is counted
+    grid = wecp.default_alpha_grid(3)
+    real = cli.sweep_point
+
+    def failing_at_middle(alpha, caps_per_curve):
+        if alpha == grid[1]:
+            raise wecp.DomainError("injected")
+        return real(alpha, caps_per_curve)
+
+    monkeypatch.setattr(cli, "sweep_point", failing_at_middle)
     buf = io.StringIO()
-    code = cmd_compare(points=3, caps=[(1, 1)], alpha_grid=[0.65, 0.9, 0.7],
-                       out=buf)
-    assert code == 0
+    assert cmd_compare(points=3, caps=[(1, 1)], out=buf) == 0
     text = buf.getvalue()
     assert text.endswith("# omitted=1\n")
     data = [l for l in text.splitlines()[1:] if not l.startswith("#")]
     assert len(data) == 2 * 2  # two valid alphas, curves A and B
+    assert {cli._fmt(a) for a in (grid[0], grid[2])} == {l.split(",")[0] for l in data}
 
 
 def test_compare_custom_caps_labels(capsys):
@@ -292,12 +302,10 @@ def test_rejected_argument_exit_2(capsys, argv, error):
 
 
 def test_usage_error_prints_json_record(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--points", "abc"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    record = json.loads(captured.err)
+    code, out, err = run_main(capsys, ["compare", "--points", "abc"])
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
     assert record["error"] == "UsageError"
     assert "--points" in record["message"]
 
@@ -489,10 +497,7 @@ def test_consecutive_main_calls_reuse_one_parser(capsys):
              ["compare", "--points", "5", "--caps", "2,2"])
     cli._shared_parser.cache_clear()
     for argv in argvs:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "wecp.cli", *argv], env=_cli_env(),
                                capture_output=True, text=True, timeout=120)
@@ -500,3 +505,105 @@ def test_consecutive_main_calls_reuse_one_parser(capsys):
                                                       fresh.stderr)
     assert cli._shared_parser.cache_info().misses == 1
     assert cli.build_parser() is not cli.build_parser()
+
+
+# --- the exit-code contract on generated command lines ---------------------------
+
+# Number spellings: exponents, signs, underscores, non-ASCII digits, non-finite
+# values and empty items. Sizes stay small, so an accepted command runs quickly.
+INT_TEXT = ["0", "1", "2", "3", "-1", "-0", "+2", "0_2", "2e0", "x", "", " 2", "٣"]
+FLOAT_TEXT = ["0.5", "5e-1", ".5", "0.25", "2.5E-1", "1", "0", "-0", "1e-400", "1_0",
+              "nan", "inf", "-inf", "", "x", "٠.٥"]
+VALID_COEFFS2 = [["0.5", "0.5"], ["0.5", "0.3", "0.2"], ["0.25", "0.25", "0.5"],
+                 ["0.1", "0.4", "0.2", "0.3"], ["5e-1", "٠.٥"]]
+
+
+@st.composite
+def number_lists(draw):
+    if draw(st.booleans()):
+        return ",".join(draw(st.sampled_from(VALID_COEFFS2)))
+    return ",".join(draw(st.lists(st.sampled_from(FLOAT_TEXT), max_size=4)))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv from the CLI's grammar, and the format an answer would print in."""
+    command = draw(st.sampled_from(["run", "compare", "verify", "bogus", None]))
+    options = []
+
+    def chance(tenths):  # hypothesis leans to 0, so 0 means "no"
+        return draw(st.integers(0, 9)) >= 10 - tenths
+
+    def maybe(name, values, omit_tenths=2):
+        if not chance(omit_tenths):
+            value = draw(values)
+            options.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+            return value
+        return None
+
+    fmt = command
+    if command == "run":
+        maybe("--protocol", st.sampled_from(["single-photon", "polarization", "nope"]), 1)
+        maybe("--coeffs2", number_lists(), 1)
+        maybe("--phases", number_lists(), 6)
+        fmt = maybe("--format", st.sampled_from(["text", "json", "csv", "xml"]), 5) or "text"
+    elif command == "compare":
+        maybe("--points", st.sampled_from(INT_TEXT))
+        pairs = draw(st.lists(
+            st.lists(st.sampled_from(INT_TEXT[:8]), min_size=1, max_size=3).map(",".join),
+            min_size=1, max_size=3))
+        form = draw(st.sampled_from(["omit", "spaced", "="]))
+        if form != "omit":
+            options.append(["--caps", *pairs] if form == "spaced" else [f"--caps={pairs[0]}"])
+    elif command == "verify":
+        # always small: the default of 1000 trials would blow the time budget
+        maybe("--trials", st.sampled_from(["1", "2", "0_2", "1e0", "0", "-1", "x", "٢"]), 0)
+        small = st.sampled_from(["2", "3", "4", "٣"])
+        odd = st.sampled_from(["1", "2", "3", "-0", "x", ""])
+        maybe("--n-range", st.one_of(st.tuples(small, small),
+                                     st.lists(odd, min_size=1, max_size=3)).map(",".join))
+        maybe("--seed", st.sampled_from(INT_TEXT), 5)
+        maybe("--coeffs2", number_lists(), 5)
+    if chance(1):
+        options.append(["--bogus"])
+    argv = [] if command is None else [command]
+    for option in draw(st.permutations(options)):
+        argv.extend(option)
+    return argv, fmt
+
+
+def _assert_printed_as(fmt, out):
+    if fmt in ("json", "verify"):
+        json.loads(out)
+    elif fmt == "compare":
+        lines = out.splitlines()
+        assert lines[0] == "alpha,curve,probability"
+        assert lines[-1].startswith("# omitted=")
+    else:
+        assert out.startswith("field,value\n" if fmt == "csv" else "protocol: ")
+
+
+@settings(max_examples=300)
+@given(command_lines(),
+       st.sampled_from([None, "0", "7", "-3", "1_0", "٣", "zz", ""]))
+def test_every_command_line_gets_an_exit_code(command_line, env_seed):
+    argv, fmt = command_line
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("ECP_SEED", None)
+        if env_seed is not None:
+            os.environ["ECP_SEED"] = env_seed
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"main raised SystemExit({exc.code!r})") from None
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    else:
+        assert err.getvalue() == ""
+        _assert_printed_as(fmt, out.getvalue())

@@ -241,6 +241,7 @@ def _route_every_photon(state, w):
 
 POOL = tuple(f"m{i}" for i in range(7))
 NEW = ("n0", "n1", "n2")  # never registered
+UNREGISTERED = ("z0", "z1")  # never registered, drawn as inputs
 
 
 @st.composite
@@ -256,13 +257,16 @@ def pbs_cases(draw, tags=(H, V)):
         terms[Ket(photons)] = 1.0
     norm = math.sqrt(len(terms))
     # The occupied modes and a drawn share of the vacuum ones are registered.
-    # Inputs are the registered modes in a drawn order, then "zz", which is
-    # never registered; outputs are two other labels of POOL and NEW, so each
-    # may name a registered mode or a new one.
+    # Each input is a registered mode or, when the drawn integer is 2 or the
+    # registry has no second mode, a label that is never registered, so the
+    # consume rule is met by both PBS inputs and by the VBS input. Outputs are
+    # two other labels of POOL and NEW, so each may name a registered mode or
+    # a new one.
     vacuum = draw(st.sets(st.sampled_from(POOL)))
     modes = vacuum.union(*(k.modes for k in terms))
     state = PureState({k: a / norm for k, a in terms.items()}, modes=modes)
-    ins = draw(st.permutations(sorted(modes))) + ["zz"]
+    registered = draw(st.permutations(sorted(modes))) + ["z1"]
+    ins = [m if draw(st.integers(0, 2)) < 2 else z for m, z in zip(registered, UNREGISTERED)]
     in_b = ins[1] if draw(st.booleans()) else None
     outs = draw(st.permutations([m for m in POOL + NEW if m not in (ins[0], in_b)]))
     return state, PbsWiring(ins[0], in_b, outs[0], outs[1])
@@ -283,8 +287,8 @@ def _outcome(element, state, wiring):
 
 @given(pbs_cases())
 def test_pbs_matches_routing_every_photon(case):
-    # Outputs may be registered and in_b is "zz" when one mode is, so both
-    # port errors occur alongside clean routings, which keep the norm bits.
+    # Inputs may be unregistered and outputs registered, so both port errors
+    # occur alongside clean routings, which keep the norm bits.
     state, wiring = case
     outcome = _outcome(apply_pbs, state, wiring)
     assert outcome == _outcome(_route_every_photon, state, wiring)
@@ -314,8 +318,8 @@ ANY_CONVENTION = st.sampled_from([(H, V), (NONE,)]).flatmap(pbs_cases)
 
 @given(ANY_CONVENTION, st.floats(0.0, 1.0))
 def test_vbs_matches_splitting_every_ket(case, t):
-    # The PBS draw's labels: a registered input, and outputs that may be
-    # registered or new.
+    # The PBS draw's labels: an input that may be unregistered, and outputs
+    # that may be registered or new.
     state, w = case
     setting = VbsSetting(w.in_a, w.out_c, w.out_d, t)
     assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
