@@ -3,7 +3,9 @@ or emit the four-curve comparison sweep as CSV.
 
 Exit codes are a stable contract: 0 success, 1 property violation
 (simulation disagrees with the closed forms), 2 input validation error.
-Validation errors print a machine-readable JSON record to stderr.
+``main`` is the one entry point: it checks every input in one guard, and a
+rejected one prints a machine-readable JSON record to stderr before any
+command starts. The commands then take only valid values.
 """
 from __future__ import annotations
 
@@ -14,13 +16,13 @@ import math
 import os
 import random
 import sys
-from typing import Callable, NoReturn, Sequence, TextIO
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .comparison import (
     DEFAULT_CAPS,
     DEFAULT_GRID_POINTS,
     DomainError,
-    _alpha_points,
+    default_alpha_grid,
     sweep_point,
 )
 from .protocols import (
@@ -74,22 +76,15 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise BadCoefficients(f"cannot parse number list {text!r}") from exc
 
 
-def cmd_run(
+def _run(
     protocol: str,
     coeffs2: tuple[float, ...],
-    phases: tuple[float, ...] | None = None,
-    output_format: str = "text",
-    out: TextIO | None = None,
+    phases: tuple[float, ...] | None,
+    coeffs: WCoefficients,
+    output_format: str,
 ) -> int:
     """Run one protocol and report step, total, and analytic probabilities."""
-    out = out if out is not None else sys.stdout
-    try:
-        coeffs = WCoefficients.from_squared(coeffs2, phases)
-        driver = _DRIVERS[protocol]
-    except (ValueError, KeyError) as exc:
-        return _fail_validation(exc)
-
-    report = driver(coeffs)
+    report = _DRIVERS[protocol](coeffs)
     analytic = analytic_total_probability(coeffs)
     payload = {
         "protocol": protocol,
@@ -101,6 +96,7 @@ def cmd_run(
         "fidelity": report.fidelity_to_target,
     }
 
+    out = sys.stdout
     if output_format == "json":
         json.dump(payload, out, indent=2)
         out.write("\n")
@@ -128,32 +124,19 @@ def cmd_run(
     return 0 if _passes(abs(report.total_prob - analytic), report.fidelity_to_target) else 1
 
 
-def cmd_compare(
-    points: int,
-    caps: Sequence[tuple[int, int]],
-    out: TextIO | None = None,
-) -> int:
-    """Emit the comparison sweep as CSV (alpha, curve, probability)."""
-    out = out if out is not None else sys.stdout
-    try:
-        if not caps:
-            raise DomainError("need at least one cap pair")
-        if any(n < 1 or m < 1 for n, m in caps):
-            raise DomainError(f"round caps must be positive: {list(caps)}")
-        grid = _alpha_points(points)
-    except DomainError as exc:
-        return _fail_validation(exc)
-
-    caps_per_curve = {chr(ord("A") + i): pair for i, pair in enumerate(caps)}
+def _compare(grid: Iterator[float], caps: Sequence[tuple[int, int]]) -> int:
+    """Emit the comparison sweep as CSV (alpha, curve, probability); an alpha
+    the sweep cannot evaluate loses its rows and is counted as omitted."""
+    out = sys.stdout
     omitted = 0
     out.write("alpha,curve,probability\n")
     for alpha in grid:
         try:
-            values = sweep_point(alpha, caps_per_curve)
+            values = sweep_point(alpha, caps)
         except DomainError:
             omitted += 1
             continue
-        for label, prob in sorted(values.items()):
+        for label, prob in values.items():
             out.write(f"{_fmt(alpha)},{label},{_fmt(prob)}\n")
     out.write(f"# omitted={omitted}\n")
     return 0
@@ -179,34 +162,21 @@ def _worst(values: Sequence[float], pick: Callable[[Sequence[float]], float]) ->
     return math.nan if any(math.isnan(v) for v in values) else pick(values)
 
 
-def cmd_verify(
+def _verify(
     trials: int,
     n_range: tuple[int, int],
     seed: int,
-    coeffs2: tuple[float, ...] | None = None,
-    out: TextIO | None = None,
+    forced: WCoefficients | None,
 ) -> int:
-    """Check both drivers against the closed form on random coefficient vectors."""
-    out = out if out is not None else sys.stdout
-    try:
-        if trials < 1:
-            raise BadCoefficients(f"need at least one trial, got {trials}")
-        lo, hi = n_range
-        if coeffs2 is None and not (2 <= lo <= hi):  # the range is read only to sample
-            raise BadCoefficients(f"bad party-count range {n_range}")
-        if seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {seed}")
-        forced = WCoefficients.from_squared(coeffs2) if coeffs2 is not None else None
-    except ValueError as exc:
-        return _fail_validation(exc)
-
+    """Check both drivers against the closed form on random coefficient
+    vectors, or on the ``forced`` instance in every trial."""
     rng = random.Random(seed)
     errors, fids, failures = [], [], []
     for _ in range(trials):
         if forced is not None:
             coeffs = forced
         else:
-            coeffs = _sample_coefficients(rng, rng.randint(lo, hi))
+            coeffs = _sample_coefficients(rng, rng.randint(*n_range))
         analytic = analytic_total_probability(coeffs)
         for name, driver in _DRIVERS.items():
             report = driver(coeffs)
@@ -223,14 +193,14 @@ def cmd_verify(
 
     summary = {
         "trials": trials,
-        "n_range": list(n_range) if forced is None else [len(coeffs2)] * 2,
+        "n_range": list(n_range) if forced is None else [forced.n] * 2,
         "seed": seed,
         "max_abs_error": _worst(errors, max),
         "min_fidelity": _worst(fids, min),
         "failures": failures,
     }
-    json.dump(summary, out, indent=2)
-    out.write("\n")
+    json.dump(summary, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0 if not failures else 1
 
 
@@ -253,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="emit the four-curve sweep as CSV")
     p_cmp.add_argument("--points", type=int, default=DEFAULT_GRID_POINTS)
     p_cmp.add_argument("--caps", nargs="+",
-                       default=[f"{a},{b}" for a, b in DEFAULT_CAPS.values()],
+                       default=[f"{a},{b}" for a, b in DEFAULT_CAPS],
                        help="round-cap pairs for the baseline curves, e.g. 1,1 3,3 5,5")
 
     p_ver = sub.add_parser("verify", help="randomized check against the closed forms")
@@ -281,24 +251,36 @@ def _env_seed() -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the command line ``argv``; one that does not parse exits 2 unrun."""
+    """Run the command line ``argv``; one with any invalid input exits 2 unrun."""
     try:
         args = _shared_parser().parse_args(argv)
         if args.command == "run":
             coeffs2 = _parse_floats(args.coeffs2)
             phases = _parse_floats(args.phases) if args.phases is not None else None
-            run = functools.partial(cmd_run, args.protocol, coeffs2, phases, args.output_format)
+            coeffs = WCoefficients.from_squared(coeffs2, phases)
+            run = functools.partial(_run, args.protocol, coeffs2, phases, coeffs,
+                                    args.output_format)
         elif args.command == "compare":
             pairs = (pair.split(",") for pair in args.caps)
             caps = tuple((int(a), int(b)) for a, b in pairs)
-            run = functools.partial(cmd_compare, args.points, caps)
+            if any(n < 1 or m < 1 for n, m in caps):
+                raise DomainError(f"round caps must be positive: {list(caps)}")
+            run = functools.partial(_compare, default_alpha_grid(args.points), caps)
         else:
             lo, hi = (int(x) for x in args.n_range.split(","))
             coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 is not None else None
             seed = args.seed if args.seed is not None else _env_seed()
-            run = functools.partial(cmd_verify, args.trials, (lo, hi), seed, coeffs2)
+            if args.trials < 1:
+                raise BadCoefficients(f"need at least one trial, got {args.trials}")
+            if coeffs2 is None and not (2 <= lo <= hi):  # the range is read only to sample
+                raise BadCoefficients(f"bad party-count range {(lo, hi)}")
+            if seed < 0:
+                raise UsageError(f"seed must be nonnegative, got {seed}")
+            forced = WCoefficients.from_squared(coeffs2) if coeffs2 is not None else None
+            run = functools.partial(_verify, args.trials, (lo, hi), seed, forced)
     except ValueError as exc:
         return _fail_validation(exc)
+    # called outside the guard: an error while a command runs is no rejected input
     return run()
 
 

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Iterator, Mapping
+from typing import Iterator, Sequence
 
 from .protocols import BadCoefficients, WCoefficients, analytic_total_probability
 from .state import _left_sum
@@ -27,7 +27,7 @@ FIG_BETA = 1.0 / math.sqrt(3.0)
 ALPHA_LO = math.sqrt(1.0 / 3.0)
 ALPHA_HI = math.sqrt(2.0 / 3.0)
 
-DEFAULT_CAPS: Mapping[str, tuple[int, int]] = {"A": (1, 1), "B": (3, 3), "C": (5, 5)}
+DEFAULT_CAPS: tuple[tuple[int, int], ...] = ((1, 1), (3, 3), (5, 5))
 DEFAULT_GRID_POINTS = 200
 GRID_MARGIN = 1e-6
 
@@ -115,26 +115,16 @@ def prior_total_prob(p: PriorEcpParams) -> float:
     return _left_sum(takewhile(bool, rounds1), 0.0) * _left_sum(takewhile(bool, rounds2), 0.0)
 
 
-def _current_curve_label(caps: Mapping[str, tuple[int, int]]) -> str:
-    last = max(caps) if caps else "@"  # "@" precedes "A"
-    return chr(ord(last) + 1)
-
-
-def default_alpha_grid(points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
-    """Uniform alpha grid over the open admissible interval.
+def default_alpha_grid(points: int = DEFAULT_GRID_POINTS) -> Iterator[float]:
+    """Uniform alpha grid over the open admissible interval, computed as it is
+    read, so a sweep holds one point at a time however many it asks for.
 
     Endpoints violate the strict ordering of the coefficients, so the grid
     approaches them to within GRID_MARGIN instead of touching them.
-    """
-    return tuple(_alpha_points(points))
-
-
-def _alpha_points(points: int) -> Iterator[float]:
-    """The points of ``default_alpha_grid(points)``, computed as they are read,
-    so a sweep holds one point at a time however many it asks for.
 
     Raises:
-        DomainError: ``points`` is below 1; raised by the call itself.
+        DomainError: ``points`` is below 1; raised by the call itself,
+            before any point is read.
     """
     if points < 1:
         raise DomainError("grid needs at least one point")
@@ -145,19 +135,19 @@ def _alpha_points(points: int) -> Iterator[float]:
 
 
 def sweep_point(
-    alpha: float, caps_per_curve: Mapping[str, tuple[int, int]] | None = None
+    alpha: float, caps: Sequence[tuple[int, int]] = DEFAULT_CAPS
 ) -> dict[str, float]:
-    """All curve values at one alpha, with beta pinned to 1/sqrt(3).
+    """All curve values at one alpha, with beta pinned to 1/sqrt(3), in
+    curve order.
 
-    Curves named in ``caps_per_curve`` are round-capped baseline totals; one
-    extra curve (next letter up, D by default) is the one-shot circuit's
-    closed form.
+    Curves A, B, ... are the round-capped baseline totals for the
+    ``(step 1, step 2)`` cap pairs in ``caps``, in order; the next letter
+    (D for the default caps) is the one-shot circuit's closed form.
 
     Raises:
         DomainError: gamma^2 at this alpha is small enough for the state to
             prune, or the strict ordering alpha > beta > gamma fails.
     """
-    caps = DEFAULT_CAPS if caps_per_curve is None else caps_per_curve
     beta = FIG_BETA
     gamma2 = 1.0 - alpha * alpha - beta * beta
     try:
@@ -169,10 +159,10 @@ def sweep_point(
         raise DomainError(f"alpha = {alpha} violates the strict coefficient ordering")
 
     values = {}
-    for label, (cap1, cap2) in caps.items():
+    for i, (cap1, cap2) in enumerate(caps):
         params = PriorEcpParams(alpha, beta, gamma,
                                 iterations_step1=cap1, iterations_step2=cap2)
-        values[label] = prior_total_prob(params)
-    values[_current_curve_label(caps)] = analytic_total_probability(coeffs)
+        values[chr(ord("A") + i)] = prior_total_prob(params)
+    values[chr(ord("A") + len(caps))] = analytic_total_probability(coeffs)
     return values
 

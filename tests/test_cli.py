@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import wecp
 from wecp import cli
-from wecp.cli import cmd_compare, cmd_run, cmd_verify, main
+from wecp.cli import main
 from wecp.protocols import RunReport
 
 DATA = Path(__file__).parent / "data"
@@ -190,12 +190,6 @@ def test_run_any_non_finite_number_exit_2(token, position, in_phases):
     assert json.loads(err.getvalue())["error"] == "BadCoefficients"
 
 
-def test_cmd_run_direct():
-    buf = io.StringIO()
-    assert cmd_run("polarization", (0.5, 0.3, 0.2), output_format="json", out=buf) == 0
-    assert json.loads(buf.getvalue())["protocol"] == "polarization"
-
-
 @pytest.mark.parametrize("fid", [0.5, math.nan])
 def test_run_fails_on_a_low_or_nan_fidelity(monkeypatch, fid):
     # run passes by the rule verify uses: the probability matches AND the
@@ -207,7 +201,9 @@ def test_run_fails_on_a_low_or_nan_fidelity(monkeypatch, fid):
         return RunReport(report.step_probs, report.total_prob, report.final_state, fid)
 
     monkeypatch.setitem(cli._DRIVERS, "polarization", off_target)
-    assert cmd_run("polarization", (0.5, 0.3, 0.2), out=io.StringIO()) == 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--protocol", "polarization", "--coeffs2", "0.5,0.3,0.2"])
+    assert code == 1
 
 
 # --- compare -----------------------------------------------------------------
@@ -236,17 +232,17 @@ def test_compare_deterministic(capsys):
 
 def test_compare_counts_omitted_rows(monkeypatch):
     # an alpha the sweep cannot evaluate loses its rows and is counted
-    grid = wecp.default_alpha_grid(3)
+    grid = tuple(wecp.default_alpha_grid(3))
     real = cli.sweep_point
 
-    def failing_at_middle(alpha, caps_per_curve):
+    def failing_at_middle(alpha, caps):
         if alpha == grid[1]:
             raise wecp.DomainError("injected")
-        return real(alpha, caps_per_curve)
+        return real(alpha, caps)
 
     monkeypatch.setattr(cli, "sweep_point", failing_at_middle)
-    buf = io.StringIO()
-    assert cmd_compare(points=3, caps=[(1, 1)], out=buf) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert main(["compare", "--points", "3", "--caps", "1,1"]) == 0
     text = buf.getvalue()
     assert text.endswith("# omitted=1\n")
     data = [l for l in text.splitlines()[1:] if not l.startswith("#")]
@@ -425,9 +421,9 @@ def test_verify_aggregation_keeps_nan(monkeypatch, total_prob, fid):
         return RunReport(report.step_probs, total_prob, report.final_state, fid)
 
     monkeypatch.setitem(cli._DRIVERS, "polarization", broken)
-    buf = io.StringIO()
-    code = cmd_verify(trials=3, n_range=(2, 4), seed=1,
-                      coeffs2=(0.25, 0.25, 0.5), out=buf)
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(["verify", "--trials", "3", "--n-range", "2,4", "--seed", "1",
+                     "--coeffs2", "0.25,0.25,0.5"])
     assert code == 1
     summary = json.loads(buf.getvalue())
     assert len(summary["failures"]) == 3
@@ -442,13 +438,6 @@ def test_verify_deterministic_for_fixed_seed(capsys):
     assert first == second
 
 
-def test_cmd_verify_direct():
-    buf = io.StringIO()
-    code = cmd_verify(trials=5, n_range=(2, 4), seed=1, out=buf)
-    assert code == 0
-    assert json.loads(buf.getvalue())["trials"] == 5
-
-
 def test_verify_samples_valid_instances(monkeypatch):
     # The sampler covers every N in the range and draws unit-norm moduli
     # above the 1e-12 floor.
@@ -458,12 +447,37 @@ def test_verify_samples_valid_instances(monkeypatch):
             seen.append(c)
             return driver(c)
         monkeypatch.setitem(cli._DRIVERS, name, recording)
-    assert cmd_verify(trials=200, n_range=(2, 4), seed=11, out=io.StringIO()) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--trials", "200", "--n-range", "2,4", "--seed", "11"]) == 0
     assert {len(c.amps) for c in seen} == {2, 3, 4}
     for c in seen:
         m2 = [abs(a) ** 2 for a in c.amps]
         assert abs(sum(m2) - 1.0) <= 1e-12
         assert min(m2) >= 1e-12
+
+
+# --- an error while a command runs is no rejected input --------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "polarization", "--coeffs2", "0.5,0.3,0.2"],
+    ["verify", "--trials", "1", "--seed", "0"],
+    ["compare", "--points", "3"],
+], ids=["run", "verify", "compare"])
+def test_an_error_while_a_command_runs_escapes_main(monkeypatch, argv):
+    # main checks its inputs before any command starts; a ValueError raised
+    # later is a fault of the program, so it escapes instead of exiting 2
+    def broken(*args):
+        raise wecp.ZeroState("injected")
+
+    if argv[0] == "compare":
+        monkeypatch.setattr(cli, "sweep_point", broken)
+    else:
+        monkeypatch.setitem(cli._DRIVERS, "polarization", broken)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            pytest.raises(wecp.ZeroState, match="injected"):
+        main(argv)
+    assert err.getvalue() == ""
 
 
 # --- runtime dependencies ------------------------------------------------------

@@ -204,9 +204,9 @@ def test_total_stops_at_first_zero_round(monkeypatch):
             calls.append(n)
             return real(p, n)
         monkeypatch.setattr(comparison, name, counted)
-    total = sweep_point(0.7, {"A": (2000, 2000)})["A"]
+    total = sweep_point(0.7, [(2000, 2000)])["A"]
     assert len(calls) < 100
-    assert total == sweep_point(0.7, {"A": (100, 100)})["A"]
+    assert total == sweep_point(0.7, [(100, 100)])["A"]
 
 
 def test_total_equal_coefficients_large_cap():
@@ -218,7 +218,7 @@ def test_total_equal_coefficients_large_cap():
 # --- sweep -------------------------------------------------------------------
 
 def test_default_grid_shape():
-    grid = default_alpha_grid()
+    grid = tuple(default_alpha_grid())
     assert len(grid) == 200
     assert ALPHA_LO < grid[0] < grid[-1] < ALPHA_HI
     assert grid[0] == pytest.approx(ALPHA_LO + 1e-6, abs=1e-12)
@@ -246,7 +246,7 @@ def test_sweep_point_domain_errors():
 
 
 def test_custom_caps_relabel_current_curve():
-    values = sweep_point(0.65, {"A": (2, 2)})
+    values = sweep_point(0.65, [(2, 2)])
     assert set(values) == {"A", "B"}
     full = sweep_point(0.65)
     assert values["B"] == full["D"]
