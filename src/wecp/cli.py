@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from .comparison import (
     DEFAULT_CAPS,
     DEFAULT_GRID_POINTS,
+    MAX_CAP_PAIRS,
     DomainError,
     default_alpha_grid,
     sweep_point,
@@ -265,7 +266,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             caps = tuple((int(a), int(b)) for a, b in pairs)
             if any(n < 1 or m < 1 for n, m in caps):
                 raise DomainError(f"round caps must be positive: {list(caps)}")
-            run = functools.partial(_compare, default_alpha_grid(args.points), caps)
+            grid = default_alpha_grid(args.points)
+            if len(caps) > MAX_CAP_PAIRS:  # the curves would run out of letters
+                raise DomainError(f"at most {MAX_CAP_PAIRS} round-cap pairs, got {len(caps)}")
+            run = functools.partial(_compare, grid, caps)
         else:
             lo, hi = (int(x) for x in args.n_range.split(","))
             coeffs2 = _parse_floats(args.coeffs2) if args.coeffs2 is not None else None

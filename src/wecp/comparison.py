@@ -28,6 +28,8 @@ ALPHA_LO = math.sqrt(1.0 / 3.0)
 ALPHA_HI = math.sqrt(2.0 / 3.0)
 
 DEFAULT_CAPS: tuple[tuple[int, int], ...] = ((1, 1), (3, 3), (5, 5))
+# The curves are named A to Z: one letter per cap pair, then the one-shot curve.
+MAX_CAP_PAIRS = 25
 DEFAULT_GRID_POINTS = 200
 GRID_MARGIN = 1e-6
 
@@ -142,7 +144,8 @@ def sweep_point(
 
     Curves A, B, ... are the round-capped baseline totals for the
     ``(step 1, step 2)`` cap pairs in ``caps``, in order; the next letter
-    (D for the default caps) is the one-shot circuit's closed form.
+    (D for the default caps) is the one-shot circuit's closed form. The names
+    stay letters for up to ``MAX_CAP_PAIRS`` pairs.
 
     Raises:
         DomainError: gamma^2 at this alpha is small enough for the state to

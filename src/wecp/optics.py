@@ -23,7 +23,6 @@ from .state import (
     Polarization,
     PureState,
     ZeroState,
-    _relabel,
     norm_squared,
 )
 
@@ -121,18 +120,33 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     scaled by sqrt(t) (photon in ``out_transmit``) and sqrt(1-t) (photon in
     ``out_reflect``); the polarization tag travels with the photon. Kets
     without a photon there pass through untouched. Total squared norm is
-    preserved.
+    preserved. The input state's route (``PureState``) finds the photon and
+    passes on unchanged: each split photon is stored under its output label.
     """
-    registry = _ports(state, "VBS", (s.input,), (s.out_transmit, s.out_reflect))
+    outs = (s.out_transmit, s.out_reflect)
+    registry = _ports(state, "VBS", (s.input,), outs)
     amp_t = math.sqrt(s.transmittance)
     amp_r = math.sqrt(1.0 - s.transmittance)
+    state = state._clear_of(outs)
     new_terms: dict[Ket, complex] = {}
-    for ket, amp in state._terms.items():
-        if s.input in ket._pol:
-            new_terms[ket.move(s.input, s.out_transmit)] = amp * amp_t
-            new_terms[ket.move(s.input, s.out_reflect)] = amp * amp_r
-        else:
-            new_terms[ket] = amp
+    if state._route is None:
+        for ket, amp in state._terms.items():
+            if s.input in ket._pol:
+                new_terms[ket.move(s.input, s.out_transmit)] = amp * amp_t
+                new_terms[ket.move(s.input, s.out_reflect)] = amp * amp_r
+            else:
+                new_terms[ket] = amp
+    else:
+        held = state._holders(s.input)
+        for ket, amp in state._terms.items():
+            pol = ket._pol
+            for label, tag in held:
+                if pol.get(label) is tag:
+                    new_terms[ket.move(label, s.out_transmit)] = amp * amp_t
+                    new_terms[ket.move(label, s.out_reflect)] = amp * amp_r
+                    break
+            else:
+                new_terms[ket] = amp
     return PureState._derive(state, new_terms, registry)
 
 
@@ -140,7 +154,10 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     """Route photons by polarization through one PBS.
 
     The inputs must be registered and both outputs new (``_ports``), so each
-    ket maps to its own ket and the norm is preserved exactly.
+    ket maps to its own ket and the norm is preserved exactly. Only a ket
+    with photons in both inputs can collide, when their tags differ. No ket
+    is rebuilt: the output shares the input's stored terms and squared norm,
+    and its route (``PureState``) sends the photons on.
     """
     if not state.uses_polarization:
         raise WrongConvention("PBS needs H/V-tagged photons")
@@ -150,11 +167,14 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     if w.in_b is not None:
         ports[w.in_b] = {H: w.out_d, V: w.out_c}
     registry = _ports(state, "PBS", ports, (w.out_c, w.out_d))
-    # a move that finds its output taken has met the other input's photon
-    kets = state._terms.keys()
-    for src, route in ports.items():
-        kets = _relabel(kets, src, route)
-    return PureState._derive(state, dict(zip(kets, state._terms.values())), registry)
+    if w.in_b is not None:
+        # photons of both inputs meet on one output when their tags differ
+        held = state._holders(w.in_a) + state._holders(w.in_b)
+        for ket in state._holding(w.in_a):
+            photons = ket._pol.items()
+            if len({tag for label, tag in held if (label, tag) in photons}) > 1:
+                raise ModeCollision(f"photons in {w.in_a!r} and {w.in_b!r} would share an output")
+    return state._rerouted(ports, registry)
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
@@ -163,7 +183,8 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     The kept state collects exactly the terms with zero photons in ``mode``
     and is NOT renormalized; the branch probability is the kept squared norm
     over the input squared norm. The discarded branch has probability
-    1 - probability.
+    1 - probability. The input state's route (``PureState``) finds the
+    photons in ``mode`` and passes on unchanged.
 
     Raises:
         UnknownMode: ``mode`` was never created.
@@ -171,7 +192,13 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     """
     if mode not in state.modes:
         raise UnknownMode(f"detector mode {mode!r} does not exist")
-    kept = {ket: amp for ket, amp in state._terms.items() if mode not in ket._pol}
+    if state._route is None:
+        kept = {ket: amp for ket, amp in state._terms.items() if mode not in ket._pol}
+    else:
+        # a C copy, then delete the few terms that hold a photon there
+        kept = state._terms.copy()
+        for ket in state._holding(mode):
+            del kept[ket]
     if not kept:
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
     kept_state = PureState._derive(state, kept, state.modes)

@@ -76,10 +76,9 @@ class Ket:
     A ket is its mode→polarization map, so kets built from permuted photon
     lists compare equal. The hash is the XOR of the builtin hash of each
     photon's (mode, tag) pair, masked to 63 bits (``_photon_hash``). The
-    constructor computes it in one C pass over the photons; ``move`` and a PBS
-    relabel through one batch kernel, ``_relabel``, which updates each hash in
-    O(1) by a delta hashed once per call. ``photons`` and ``modes`` are sorted
-    by mode label and derived on demand. Kets are immutable.
+    constructor computes it in one C pass over the photons; ``move`` updates it
+    in O(1) by the moved photon's share. ``photons`` and ``modes`` are sorted by
+    mode label and derived on demand. Kets are immutable.
     """
 
     __slots__ = ("_pol", "_hash")
@@ -133,10 +132,18 @@ class Ket:
             KeyError: ``src`` holds no photon.
             ModeCollision: ``dst`` already holds a photon.
         """
-        tag = self._pol.get(src)
+        pol = self._pol
+        tag = pol.get(src)
         if tag is None:
             raise KeyError(f"no photon in mode {src!r}")
-        return _relabel((self,), src, {tag: dst})[0]
+        if dst in pol:
+            raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
+        moved = pol.copy()
+        moved[dst] = moved.pop(src)
+        new = object.__new__(Ket)
+        _set(new, "_pol", moved)
+        _set(new, "_hash", self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
+        return new
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -146,39 +153,13 @@ class Ket:
         return f"|{inner}>"
 
 
-def _relabel(
-    kets: Iterable[Ket], src: ModeLabel, route: Mapping[Polarization, ModeLabel]
-) -> list[Ket]:
-    """Move the photon in ``src`` of each ket to ``route[tag]``, keeping its tag.
-
-    The one relabel path: ``Ket.move`` passes one ket, a PBS passes every ket
-    of its input state once per input port. The hash delta of each route is
-    hashed once per call, and no Python function runs per ket. Kets with no
-    photon in ``src`` come back as they are, in place.
-
-    Raises:
-        ModeCollision: a destination already holds a photon.
-    """
-    moves = {}
-    for tag, dst in route.items():
-        moves[tag] = dst, _photon_hash(src, tag) ^ _photon_hash(dst, tag)
-    out = []
-    for ket in kets:
-        pol = ket._pol
-        tag = pol.get(src)
-        if tag is None:
-            out.append(ket)
-            continue
-        dst, delta = moves[tag]
-        if dst in pol:
-            raise ModeCollision(f"mode {dst!r} already holds a photon in {ket}")
-        moved = pol.copy()
-        moved[dst] = moved.pop(src)
-        new = object.__new__(Ket)
-        _set(new, "_pol", moved)
-        _set(new, "_hash", ket._hash ^ delta)
-        out.append(new)
-    return out
+def _ket_of(pol: dict[ModeLabel, Polarization]) -> Ket:
+    """The ket whose mode->tag map is ``pol``, which it then owns. Hashes
+    each photon through the item view, so no photon tuple is kept."""
+    ket = object.__new__(Ket)
+    _set(ket, "_pol", pol)
+    _set(ket, "_hash", reduce(xor, map(hash, pol.items()), 0) & _HASH_MASK)
+    return ket
 
 
 def _left_sum(values: Iterable, start):
@@ -213,14 +194,31 @@ def _prune(terms: dict[Ket, complex]) -> float:
     return n2
 
 
+# A stored photon, as a route names it: the label it is stored under, and its tag.
+_Photon = tuple[ModeLabel, Polarization]
+
+
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
     Every state's amplitudes go through one pass (prune, NaN, squared norm).
     The constructor also checks each kept term's photon count, convention and
-    modes. An optics element relabels photons of its validated parent, which
-    keeps all three, so only the amplitude pass runs again. A copied or
-    unpickled state is rebuilt through the constructor.
+    modes. An optics element moves photons of its validated parent, which
+    keeps all three, so only the amplitude pass runs again; a PBS keeps every
+    amplitude in its place and skips that pass too. A copied or unpickled
+    state is rebuilt through the constructor.
+
+    Terms are held as stored kets plus a route. The route maps each stored
+    photon ``(label, tag)`` that a PBS moved to the mode it occupies now, and
+    each mode a PBS made to the stored photons it sent there. A mode no PBS
+    made holds the photons stored under its own label. A PBS composes the
+    route in O(ports) and hands on its parent's stored terms and squared norm;
+    a VBS or a detector finds the photons in its mode through the route and
+    rewrites only the terms that hold one. A state built by the constructor
+    has no route, nor has any occupation-only state, so its stored kets are
+    its physical kets. Otherwise the physical kets are built where something
+    reads them (``terms``, ``==``, ``repr``, ``fidelity``, copy and pickle),
+    once, and cached.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -239,7 +237,8 @@ class PureState:
             ``modes``.
     """
 
-    __slots__ = ("_terms", "_norm2", "modes", "photon_count", "uses_polarization")
+    __slots__ = ("_terms", "_norm2", "_route", "_kets", "modes", "photon_count",
+                 "uses_polarization")
 
     def __init__(self, terms: Mapping[Ket, complex],
                  modes: Iterable[ModeLabel] | None = None) -> None:
@@ -261,35 +260,110 @@ class PureState:
     @classmethod
     def _derive(cls, parent: "PureState", terms: dict[Ket, complex],
                 registry: frozenset[ModeLabel]) -> "PureState":
-        """An optics element's output, built from its validated parent.
+        """An optics element's output, built from its validated parent, whose
+        route it keeps.
 
-        Precondition: every term of ``terms`` is a term of ``parent`` or a
-        ``_relabel`` of one, no two relabelled terms meet, and ``registry``
-        registers every mode a term occupies. The optics port rule (consume
-        registered modes, mint new ones) keeps all three. A relabel keeps the
-        photon count and every tag, so the output needs none of the
+        Precondition: every term of ``terms`` is a stored term of ``parent``
+        or one whose photon ``Ket.move`` put under a label that no stored
+        photon of ``parent`` or its route names, no two moved terms meet, and
+        ``registry`` registers every mode a term occupies. The optics port
+        rule (consume registered modes, mint new ones) keeps all three. A move
+        keeps the photon count and every tag, so the output needs none of the
         constructor's structure checks, only its amplitude pass, so both give
         the same terms and norm bits. Pruned kets are deleted from ``terms``,
         which the new state then owns.
         """
         state = object.__new__(cls)
-        state._store(terms, _prune(terms), registry, parent.photon_count, parent.uses_polarization)
+        state._store(terms, _prune(terms), registry, parent.photon_count,
+                     parent.uses_polarization, parent._route)
         return state
 
+    def _rerouted(self, ports: Mapping[ModeLabel, Mapping[Polarization, ModeLabel]],
+                  registry: frozenset[ModeLabel]) -> "PureState":
+        """This state after a PBS: the same stored terms and squared norm, and
+        a route that sends each photon in an input mode of ``ports`` to the
+        output that ``ports`` names for its tag. Costs O(ports) and one copy
+        of the route."""
+        moves = [(photon, out[photon[1]]) for src, out in ports.items()
+                 for photon in self._holders(src)]
+        to, at = ({}, {}) if self._route is None else map(dict.copy, self._route)
+        for src, out in ports.items():
+            at.pop(src, None)
+            at.update(dict.fromkeys(out.values(), ()))
+        for photon, dst in moves:
+            to[photon] = dst
+            at[dst] += (photon,)
+        state = object.__new__(PureState)
+        state._store(self._terms, self._norm2, registry, self.photon_count, True, (to, at))
+        return state
+
+    def _placed(self, mode: ModeLabel) -> tuple[_Photon, ...] | None:
+        """The stored photons a PBS placed in ``mode``, or None when ``mode``
+        holds just the photons stored under its own label."""
+        return None if self._route is None else self._route[1].get(mode)
+
+    def _holders(self, mode: ModeLabel) -> tuple[_Photon, ...]:
+        """The stored photons that may sit in ``mode`` of an H/V state. Some
+        may be held by no term: a PBS routes both tags of a mode it consumes."""
+        placed = self._placed(mode)
+        return ((mode, Polarization.H), (mode, Polarization.V)) if placed is None else placed
+
+    def _holding(self, mode: ModeLabel) -> list[Ket]:
+        """The stored kets that hold a photon in ``mode``, in term order."""
+        placed = self._placed(mode)
+        if placed is None:
+            return [ket for ket in self._terms if mode in ket._pol]
+        return [ket for ket in self._terms if not ket._pol.items().isdisjoint(placed)]
+
+    def _clear_of(self, labels: Iterable[ModeLabel]) -> "PureState":
+        """This state, or, when its route names ``labels`` (a mode a PBS made
+        or a photon stored under the label), the same state with its physical
+        kets stored and no route. An element calls it before it stores new
+        photons under ``labels``, so that no route entry moves or hides them."""
+        if self._route is not None:
+            to, at = self._route
+            for m in labels:
+                if m in at or (m, Polarization.H) in to or (m, Polarization.V) in to:
+                    state = object.__new__(PureState)
+                    state._store(self._physical(), self._norm2, self.modes,
+                                 self.photon_count, True)
+                    return state
+        return self
+
+    def _physical(self) -> dict[Ket, complex]:
+        """The terms over the modes their photons occupy, in stored order: the
+        stored terms when there is no route, else built on the first read."""
+        kets = self._kets
+        if kets is None:
+            where = self._route[0].get
+            kets = {}
+            for ket, amp in self._terms.items():
+                pol = ket._pol
+                moved = dict(zip(map(where, pol.items(), pol), pol.values()))
+                if len(moved) != len(pol):
+                    raise ModeCollision(f"the route puts two photons of {ket} in one mode")
+                kets[_ket_of(moved)] = amp
+            _set(self, "_kets", kets)
+        return kets
+
     def _store(self, terms: dict[Ket, complex], n2: float, registry: frozenset[ModeLabel],
-               count: int, hv_used: bool) -> None:
-        """Cap the squared norm at 1 and set the slots."""
+               count: int, hv_used: bool,
+               route: tuple[dict, dict] | None = None) -> None:
+        """Cap the squared norm at 1 and set the slots. ``route`` is the pair
+        (stored photon -> mode, mode -> stored photons), or None for none."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
         _set(self, "_terms", terms)
         _set(self, "_norm2", n2)
+        _set(self, "_route", route)
+        _set(self, "_kets", terms if route is None else None)
         _set(self, "modes", registry)
         _set(self, "photon_count", count)
         _set(self, "uses_polarization", hv_used)
 
     def __reduce__(self):
         # copy and pickle rebuild through the validating constructor
-        return PureState, (self._terms, self.modes)
+        return PureState, (self._physical(), self.modes)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -299,18 +373,18 @@ class PureState:
 
     @property
     def terms(self) -> Mapping[Ket, complex]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType(self._physical())
 
     def __eq__(self, other: object) -> bool:
         # registry metadata (modes) intentionally ignored
         if not isinstance(other, PureState):
             return NotImplemented
-        return self._terms == other._terms
+        return self._physical() == other._physical()
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        ordered = sorted(self._terms.items(), key=lambda kv: _ket_key(kv[0]))
+        ordered = sorted(self._physical().items(), key=lambda kv: _ket_key(kv[0]))
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
         return f"PureState({parts})"
 
@@ -335,9 +409,9 @@ def fidelity(a: PureState, b: PureState) -> float:
     """
     if a.uses_polarization != b.uses_polarization:
         raise IncompatibleStates("cannot overlap tagged and untagged states")
-    tb = b._terms
+    tb = b._physical()
     shared = sorted(
-        ((_ket_key(k), x, y) for k, x in a._terms.items() if (y := tb.get(k)) is not None),
+        ((_ket_key(k), x, y) for k, x in a._physical().items() if (y := tb.get(k)) is not None),
         key=itemgetter(0),
     )
     overlap = _left_sum((x.conjugate() * y for _, x, y in shared), 0j)

@@ -270,6 +270,28 @@ def test_compare_zero_caps_exit_2(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_compare_rejects_more_cap_pairs_than_curve_letters(capsys):
+    pairs = [f"{k},{k}" for k in range(1, 27)]
+    code, out, _ = run_main(capsys, ["compare", "--points", "1", "--caps", *pairs[:25]])
+    assert code == 0
+    curves = [line.split(",")[1] for line in out.splitlines()[1:-1]]
+    assert curves == [chr(ord("A") + i) for i in range(26)]
+    code, out, err = run_main(capsys, ["compare", "--points", "1", "--caps", *pairs])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "at most 25 round-cap pairs, got 26"}
+    # 26 pairs and one more fault report that fault, as before the limit
+    for argv, error in ((["--points", "0", "--caps", *pairs], "DomainError"),
+                        (["--caps", "0,0", *pairs[1:]], "DomainError"),
+                        (["--caps", "x,y", *pairs[1:]], "ValueError")):
+        code, _, err = run_main(capsys, ["compare", *argv])
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == error
+        assert "round-cap pairs" not in record["message"]
+
+
 def test_compare_single_point(capsys):
     code, out, _ = run_main(capsys, ["compare", "--points", "1"])
     assert code == 0

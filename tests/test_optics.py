@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wecp.optics import (
     BadTransmittance,
@@ -167,6 +167,21 @@ def test_pbs_merges_two_paths():
     assert out.terms[pol_ket(("a6", H), ("b1", V), ("c1", V))] == pytest.approx(g)
     assert out.terms[pol_ket(("a6", V), ("b1", H), ("c1", V))] == pytest.approx(b)
     assert out.terms[pol_ket(("a6", V), ("b1", V), ("c1", H))] == pytest.approx(g)
+
+
+def test_elements_after_a_pbs_find_its_photons(partial_pol_w3):
+    # the split PBS moves no ket itself; the VBS and the detector behind it
+    # must still find the H photon on a2 and the V photons on a3
+    out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
+    dark_h = detect_vacuum(out, "a2")
+    assert list(dark_h.kept_state.terms) == [pol_ket(("a3", V), ("b1", H), ("c1", V)),
+                                             pol_ket(("a3", V), ("b1", V), ("c1", H))]
+    assert dark_h.probability == pytest.approx(0.5, abs=1e-12)
+    split = apply_vbs(out, VbsSetting("a2", "a4", "a5", 0.36))
+    assert list(split.terms.values()) == pytest.approx(
+        [0.6 * math.sqrt(0.5), 0.8 * math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)], abs=1e-15)
+    assert pol_ket(("a5", H), ("b1", V), ("c1", V)) in split.terms
+    assert detect_vacuum(split, "a3").probability == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("in_a, in_b", [("zz", None), ("a1", "zz")])
@@ -342,6 +357,60 @@ def test_detect_matches_rebuilding_dark_terms(case, mode):
     # an empty dark branch is a ZeroState for the detector and the constructor
     state, _ = case
     assert _outcome(_kept_state, state, mode) == _outcome(_keep_dark_terms, state, mode)
+
+
+CHAIN_LABELS = POOL + NEW + tuple(f"n{i}" for i in range(3, 9))
+
+
+@st.composite
+def chain_steps(draw, state):
+    """One element for ``state``, with the reference model that checks it.
+
+    Inputs are mostly registered modes and outputs mostly unregistered ones,
+    so most chains run several elements. The labels come from a few, so an
+    output often names a mode an earlier element consumed.
+    """
+    registered = sorted(state.modes)
+    free = sorted(set(CHAIN_LABELS) - state.modes)
+
+    def pick(modes, fallback, taken):
+        # hypothesis leans to 0, so 0..8 pick ``modes`` and 9 the fallback
+        options = [m for m in (modes if draw(st.integers(0, 9)) < 9 else fallback)
+                   if m not in taken]
+        return draw(st.sampled_from(options or [m for m in CHAIN_LABELS + UNREGISTERED
+                                                if m not in taken]))
+
+    kind = draw(st.sampled_from(["split", "merge", "vbs", "detect"]))
+    if kind == "detect":
+        return _kept_state, pick(registered, UNREGISTERED, ()), _keep_dark_terms
+    labels = [pick(registered, UNREGISTERED, ())]
+    if kind == "merge":
+        labels.append(pick(registered, UNREGISTERED, labels))
+    for _ in range(2):
+        labels.append(pick(free, registered, labels))
+    if kind == "vbs":
+        return apply_vbs, VbsSetting(*labels, draw(st.floats(0.0, 1.0))), _split_every_ket
+    if kind == "split":
+        labels.insert(1, None)
+    return apply_pbs, PbsWiring(*labels), _route_every_photon
+
+
+@settings(max_examples=300)
+@given(pbs_cases(), st.integers(2, 6), st.data())
+def test_chained_elements_match_references(case, length, data):
+    # After a PBS the output holds its photons through a route, which the
+    # next elements read and extend; the references rebuild every ket from
+    # the previous output's public terms. Each step must agree on the terms
+    # in order, the registry, the norm bits and the error, so a stale or
+    # aliased route shows, also when an output reuses a consumed label.
+    state, _ = case
+    for _ in range(length):
+        element, setting, reference = data.draw(chain_steps(state))
+        outcome = _outcome(element, state, setting)
+        assert outcome == _outcome(reference, state, setting)
+        if isinstance(outcome, type):
+            return
+        state = element(state, setting)
 
 
 def test_pbs_wiring_labels_distinct():

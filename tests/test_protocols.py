@@ -449,6 +449,17 @@ def test_custom_labels():
     assert occupied == {"alice1", "bob1", "carol"}
 
 
+@pytest.mark.parametrize("labels, minted", [
+    # an all-digit or empty base is its own stem: "7" mints 71, 72, ...
+    (("7", "", "x"), [("71", "73", "74"), ("1", "3", "4")]),
+    (("a1", "a2", "a5"), [("a3", "a6", "a7"), ("a10", "a12", "a13")]),
+])
+def test_polarization_mints_the_first_free_labels(labels, minted):
+    # each step mints after the labels its party already took, skipping taken ones
+    report = run_polarization_ecp(coeffs(*EXAMPLE), labels)
+    assert [(s.vbs.input, s.vbs.out_transmit, s.vbs.out_reflect) for s in report.steps] == minted
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         run_single_photon_ecp(coeffs(*EXAMPLE), labels=("x", "x", "y"))

@@ -13,7 +13,6 @@ from wecp.state import (
     Polarization,
     PureState,
     ZeroState,
-    _relabel,
     fidelity,
     fresh_label,
     norm_squared,
@@ -291,14 +290,14 @@ def phased(moduli):
 
 
 @st.composite
-def relabeled(draw, ket, tags):
-    """``ket`` after one or two ``_relabel`` moves, each into a free new mode."""
+def relabeled(draw, ket):
+    """``ket`` after one or two ``Ket.move`` calls, each into a free new mode."""
     for _ in range(draw(st.integers(1, 2))):
         free = [m for m in NEW_MODES if not ket.has(m)]
         if not free:
             break
         src = draw(st.sampled_from(ket.modes))
-        ket = _relabel((ket,), src, {tag: draw(st.sampled_from(free)) for tag in tags})[0]
+        ket = ket.move(src, draw(st.sampled_from(free)))
     return ket
 
 
@@ -307,7 +306,7 @@ def derivations(draw):
     """An element-like output of a parent state.
 
     The output keeps some of the parent's terms and adds kets that
-    ``_relabel`` made from parent kets, as every element does. Added
+    ``Ket.move`` made from parent kets, as every element does. Added
     amplitudes include values below the pruning threshold. At most one
     amplitude, on a carried or an added ket, is NaN or large enough to lift
     the squared norm above 1.
@@ -323,7 +322,7 @@ def derivations(draw):
     carried = draw(st.lists(st.sampled_from(parent_kets), unique=True))
     # a relabeled ket holds a new mode, so it is never a parent ket
     sources = draw(st.lists(st.sampled_from(parent_kets), min_size=1, max_size=4))
-    added_kets = list(dict.fromkeys(draw(relabeled(k, tags)) for k in sources))
+    added_kets = list(dict.fromkeys(draw(relabeled(k)) for k in sources))
     amps = st.one_of(phased(st.floats(0.0, 3e-8)), phased(st.floats(0.05, 0.3)))
     terms = dict(draw(st.permutations(
         [(k, parent.terms[k]) for k in carried] + [(k, draw(amps)) for k in added_kets])))
