@@ -233,16 +233,10 @@ def _run(
     state = (w_state_polarization if polarization else w_state_single_photon)(c, labels)
     current = list(labels)
     taken = set(labels)  # each minted label joins it, so no label is ever reused
-    latest = {}  # base -> the last label minted from it
 
     def mint(base: ModeLabel) -> ModeLabel:
-        # Every label between the base and the last one minted from it is
-        # taken, so minting resumes there, unless the base is all digits (or
-        # empty): it is then its own stem, and its labels are not.
-        label = fresh_label(taken, latest.get(base, base))
+        label = fresh_label(taken, base)
         taken.add(label)
-        if base.rstrip("0123456789"):
-            latest[base] = label
         return label
 
     steps = []

@@ -11,11 +11,10 @@ renormalizes implicitly, so branch probabilities stay auditable step by step.
 """
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
 from functools import reduce
 from operator import itemgetter, xor
-from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
 
 ModeLabel = str
 
@@ -218,7 +217,7 @@ class PureState:
     has no route, nor has any occupation-only state, so its stored kets are
     its physical kets. Otherwise the physical kets are built where something
     reads them (``terms``, ``==``, ``repr``, ``fidelity``, copy and pickle),
-    once, and cached.
+    once, and cached; counting the terms builds none.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -373,7 +372,7 @@ class PureState:
 
     @property
     def terms(self) -> Mapping[Ket, complex]:
-        return MappingProxyType(self._physical())
+        return _Terms(self)
 
     def __eq__(self, other: object) -> bool:
         # registry metadata (modes) intentionally ignored
@@ -387,6 +386,32 @@ class PureState:
         ordered = sorted(self._physical().items(), key=lambda kv: _ket_key(kv[0]))
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
         return f"PureState({parts})"
+
+
+class _Terms(Mapping):
+    """Read-only view of a state's terms over the modes their photons occupy.
+
+    A route only renames photons, so the view's length is the number of
+    stored terms and ``len`` builds no ket. Every other read goes to the
+    physical kets (``PureState._physical``).
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: PureState) -> None:
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state._terms)
+
+    def __getitem__(self, ket: Ket) -> complex:
+        return self._state._physical()[ket]
+
+    def __iter__(self):
+        return iter(self._state._physical())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._state._physical()!r})"
 
 
 def norm_squared(state: PureState) -> float:

@@ -184,6 +184,19 @@ def test_elements_after_a_pbs_find_its_photons(partial_pol_w3):
     assert detect_vacuum(split, "a3").probability == pytest.approx(0.5, abs=1e-12)
 
 
+def test_counting_routed_terms_builds_no_ket(partial_pol_w3):
+    # a route only renames photons, so the term count needs no physical ket
+    out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
+    assert len(out.terms) == 3
+    assert out._kets is None
+    assert out.terms == {pol_ket(("a2", H), ("b1", V), ("c1", V)): math.sqrt(0.5),
+                         pol_ket(("a3", V), ("b1", H), ("c1", V)): math.sqrt(0.3),
+                         pol_ket(("a3", V), ("b1", V), ("c1", H)): math.sqrt(0.2)}
+    assert out._kets is not None
+    with pytest.raises(TypeError):
+        out.terms[pol_ket(("a2", H), ("b1", V), ("c1", V))] = 1.0
+
+
 @pytest.mark.parametrize("in_a, in_b", [("zz", None), ("a1", "zz")])
 def test_pbs_unknown_input(in_a, in_b):
     s = PureState({pol_ket(("a1", H)): 1.0})
