@@ -27,6 +27,7 @@ from .comparison import (
     sweep_point,
 )
 from .protocols import (
+    MAX_PARTIES,
     BadCoefficients,
     WCoefficients,
     analytic_total_probability,
@@ -251,6 +252,11 @@ def _env_seed() -> int:
         raise UsageError(f"ECP_SEED must be an integer, got {raw!r}") from None
 
 
+def _check_party_count(n: int) -> None:
+    if n > MAX_PARTIES:  # the default party labels would run out of letters
+        raise BadCoefficients(f"at most {MAX_PARTIES} parties, got {n}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command line ``argv``; one with any invalid input exits 2 unrun."""
     try:
@@ -259,6 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             coeffs2 = _parse_floats(args.coeffs2)
             phases = _parse_floats(args.phases) if args.phases is not None else None
             coeffs = WCoefficients.from_squared(coeffs2, phases)
+            _check_party_count(coeffs.n)
             run = functools.partial(_run, args.protocol, coeffs2, phases, coeffs,
                                     args.output_format)
         elif args.command == "compare":
@@ -281,6 +288,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if seed < 0:
                 raise UsageError(f"seed must be nonnegative, got {seed}")
             forced = WCoefficients.from_squared(coeffs2) if coeffs2 is not None else None
+            _check_party_count(hi if forced is None else forced.n)
             run = functools.partial(_verify, args.trials, (lo, hi), seed, forced)
     except ValueError as exc:
         return _fail_validation(exc)

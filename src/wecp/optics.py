@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .state import (
-    Ket,
     ModeCollision,
     ModeLabel,
     Polarization,
     PureState,
-    ZeroState,
+    _dark,
+    _split,
+    _steer,
     norm_squared,
 )
 
@@ -120,34 +121,12 @@ def apply_vbs(state: PureState, s: VbsSetting) -> PureState:
     scaled by sqrt(t) (photon in ``out_transmit``) and sqrt(1-t) (photon in
     ``out_reflect``); the polarization tag travels with the photon. Kets
     without a photon there pass through untouched. Total squared norm is
-    preserved. The input state's route (``PureState``) finds the photon and
-    passes on unchanged: each split photon is stored under its output label.
+    preserved.
     """
     outs = (s.out_transmit, s.out_reflect)
     registry = _ports(state, "VBS", (s.input,), outs)
-    amp_t = math.sqrt(s.transmittance)
-    amp_r = math.sqrt(1.0 - s.transmittance)
-    state = state._clear_of(outs)
-    new_terms: dict[Ket, complex] = {}
-    if state._route is None:
-        for ket, amp in state._terms.items():
-            if s.input in ket._pol:
-                new_terms[ket.move(s.input, s.out_transmit)] = amp * amp_t
-                new_terms[ket.move(s.input, s.out_reflect)] = amp * amp_r
-            else:
-                new_terms[ket] = amp
-    else:
-        held = state._holders(s.input)
-        for ket, amp in state._terms.items():
-            pol = ket._pol
-            for label, tag in held:
-                if pol.get(label) is tag:
-                    new_terms[ket.move(label, s.out_transmit)] = amp * amp_t
-                    new_terms[ket.move(label, s.out_reflect)] = amp * amp_r
-                    break
-            else:
-                new_terms[ket] = amp
-    return PureState._derive(state, new_terms, registry)
+    amps = (math.sqrt(s.transmittance), math.sqrt(1.0 - s.transmittance))
+    return _split(state, s.input, outs, amps, registry)
 
 
 def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
@@ -155,9 +134,8 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
 
     The inputs must be registered and both outputs new (``_ports``), so each
     ket maps to its own ket and the norm is preserved exactly. Only a ket
-    with photons in both inputs can collide, when their tags differ. No ket
-    is rebuilt: the output shares the input's stored terms and squared norm,
-    and its route (``PureState``) sends the photons on.
+    with photons in both inputs can collide, when their tags differ: both
+    would leave through one output (``ModeCollision``).
     """
     if not state.uses_polarization:
         raise WrongConvention("PBS needs H/V-tagged photons")
@@ -167,14 +145,7 @@ def apply_pbs(state: PureState, w: PbsWiring) -> PureState:
     if w.in_b is not None:
         ports[w.in_b] = {H: w.out_d, V: w.out_c}
     registry = _ports(state, "PBS", ports, (w.out_c, w.out_d))
-    if w.in_b is not None:
-        # photons of both inputs meet on one output when their tags differ
-        held = state._holders(w.in_a) + state._holders(w.in_b)
-        for ket in state._holding(w.in_a):
-            photons = ket._pol.items()
-            if len({tag for label, tag in held if (label, tag) in photons}) > 1:
-                raise ModeCollision(f"photons in {w.in_a!r} and {w.in_b!r} would share an output")
-    return state._rerouted(ports, registry)
+    return _steer(state, ports, registry)
 
 
 def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
@@ -183,8 +154,7 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     The kept state collects exactly the terms with zero photons in ``mode``
     and is NOT renormalized; the branch probability is the kept squared norm
     over the input squared norm. The discarded branch has probability
-    1 - probability. The input state's route (``PureState``) finds the
-    photons in ``mode`` and passes on unchanged.
+    1 - probability.
 
     Raises:
         UnknownMode: ``mode`` was never created.
@@ -192,15 +162,6 @@ def detect_vacuum(state: PureState, mode: ModeLabel) -> BranchOutcome:
     """
     if mode not in state.modes:
         raise UnknownMode(f"detector mode {mode!r} does not exist")
-    if state._route is None:
-        kept = {ket: amp for ket, amp in state._terms.items() if mode not in ket._pol}
-    else:
-        # a C copy, then delete the few terms that hold a photon there
-        kept = state._terms.copy()
-        for ket in state._holding(mode):
-            del kept[ket]
-    if not kept:
-        raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    kept_state = PureState._derive(state, kept, state.modes)
+    kept_state = _dark(state, mode)
     probability = norm_squared(kept_state) / norm_squared(state)
     return BranchOutcome(kept_state=kept_state, probability=probability)

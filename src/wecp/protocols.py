@@ -128,6 +128,10 @@ class RunReport:
     steps: tuple[PlanStep, ...] = ()
 
 
+# default_party_labels names this many parties with letters: a1 to z1, aa1 to zz1.
+MAX_PARTIES = 26 + 26 * 26
+
+
 def default_party_labels(n: int) -> tuple[ModeLabel, ...]:
     """Deterministic starting mode per party: a1, b1, c1, ... then aa1, ab1, ..."""
     labels = []

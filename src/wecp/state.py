@@ -193,10 +193,6 @@ def _prune(terms: dict[Ket, complex]) -> float:
     return n2
 
 
-# A stored photon, as a route names it: the label it is stored under, and its tag.
-_Photon = tuple[ModeLabel, Polarization]
-
-
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
@@ -207,17 +203,18 @@ class PureState:
     amplitude in its place and skips that pass too. A copied or unpickled
     state is rebuilt through the constructor.
 
-    Terms are held as stored kets plus a route. The route maps each stored
-    photon ``(label, tag)`` that a PBS moved to the mode it occupies now, and
-    each mode a PBS made to the stored photons it sent there. A mode no PBS
-    made holds the photons stored under its own label. A PBS composes the
-    route in O(ports) and hands on its parent's stored terms and squared norm;
-    a VBS or a detector finds the photons in its mode through the route and
-    rewrites only the terms that hold one. A state built by the constructor
-    has no route, nor has any occupation-only state, so its stored kets are
-    its physical kets. Otherwise the physical kets are built where something
-    reads them (``terms``, ``==``, ``repr``, ``fidelity``, copy and pickle),
-    once, and cached; counting the terms builds none.
+    Every state holds its terms as stored kets plus a route, a pair of maps:
+    each stored photon ``(label, tag)`` that a PBS moved, to the mode it
+    occupies now; and each mode a PBS made or consumed, to the stored photons
+    it holds (none, once consumed). Any other mode holds the photons stored
+    under its own label. The constructor's route is empty, so its stored kets
+    are its physical kets. A PBS composes the route in O(ports) and hands on
+    its parent's stored terms and squared norm. A VBS or a detector finds the
+    photons in its mode through the route, rewrites only the terms that hold
+    one, and hands the route on; a VBS stores each photon it splits under its
+    output label. Once a PBS has acted, the physical kets are built where
+    something reads them (``terms``, ``==``, ``repr``, ``fidelity``, copy and
+    pickle), once, and cached; counting the terms builds none.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -254,84 +251,51 @@ class PureState:
             raise IncompatibleStates("kets mix tagged and untagged photons")
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
-        self._store(own, n2, registry, counts.pop(), Polarization.NONE not in tags)
+        self._store(own, n2, registry, counts.pop(), Polarization.NONE not in tags, ({}, {}),
+                    own)
 
     @classmethod
     def _derive(cls, parent: "PureState", terms: dict[Ket, complex],
                 registry: frozenset[ModeLabel]) -> "PureState":
-        """An optics element's output, built from its validated parent, whose
-        route it keeps.
+        """A VBS's or a detector's output, built from its validated parent,
+        whose route it keeps. No term holds a photon the route moved unless a
+        parent term did, so the stored kets are physical if the parent's are.
 
         Precondition: every term of ``terms`` is a stored term of ``parent``
         or one whose photon ``Ket.move`` put under a label that no stored
         photon of ``parent`` or its route names, no two moved terms meet, and
-        ``registry`` registers every mode a term occupies. The optics port
-        rule (consume registered modes, mint new ones) keeps all three. A move
-        keeps the photon count and every tag, so the output needs none of the
-        constructor's structure checks, only its amplitude pass, so both give
-        the same terms and norm bits. Pruned kets are deleted from ``terms``,
-        which the new state then owns.
+        ``registry`` registers every mode a term occupies; the port rule and
+        ``_split`` keep all three. A move keeps the photon count and every
+        tag, so the output needs only the constructor's amplitude pass, and
+        both give the same terms and norm bits. Pruned kets are deleted from
+        ``terms``, which the new state then owns.
         """
         state = object.__new__(cls)
         state._store(terms, _prune(terms), registry, parent.photon_count,
-                     parent.uses_polarization, parent._route)
+                     parent.uses_polarization, parent._route,
+                     terms if parent._kets is parent._terms else None)
         return state
 
-    def _rerouted(self, ports: Mapping[ModeLabel, Mapping[Polarization, ModeLabel]],
-                  registry: frozenset[ModeLabel]) -> "PureState":
-        """This state after a PBS: the same stored terms and squared norm, and
-        a route that sends each photon in an input mode of ``ports`` to the
-        output that ``ports`` names for its tag. Costs O(ports) and one copy
-        of the route."""
-        moves = [(photon, out[photon[1]]) for src, out in ports.items()
-                 for photon in self._holders(src)]
-        to, at = ({}, {}) if self._route is None else map(dict.copy, self._route)
-        for src, out in ports.items():
-            at.pop(src, None)
-            at.update(dict.fromkeys(out.values(), ()))
-        for photon, dst in moves:
-            to[photon] = dst
-            at[dst] += (photon,)
-        state = object.__new__(PureState)
-        state._store(self._terms, self._norm2, registry, self.photon_count, True, (to, at))
-        return state
-
-    def _placed(self, mode: ModeLabel) -> tuple[_Photon, ...] | None:
-        """The stored photons a PBS placed in ``mode``, or None when ``mode``
-        holds just the photons stored under its own label."""
-        return None if self._route is None else self._route[1].get(mode)
-
-    def _holders(self, mode: ModeLabel) -> tuple[_Photon, ...]:
-        """The stored photons that may sit in ``mode`` of an H/V state. Some
+    def _holders(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, Polarization], ...]:
+        """The stored photons, as (label, tag), that may sit in ``mode``. Some
         may be held by no term: a PBS routes both tags of a mode it consumes."""
-        placed = self._placed(mode)
-        return ((mode, Polarization.H), (mode, Polarization.V)) if placed is None else placed
+        placed = self._route[1].get(mode)
+        if placed is not None:
+            return placed
+        if self.uses_polarization:
+            return (mode, Polarization.H), (mode, Polarization.V)
+        return ((mode, Polarization.NONE),)
 
     def _holding(self, mode: ModeLabel) -> list[Ket]:
         """The stored kets that hold a photon in ``mode``, in term order."""
-        placed = self._placed(mode)
+        placed = self._route[1].get(mode)
         if placed is None:
             return [ket for ket in self._terms if mode in ket._pol]
         return [ket for ket in self._terms if not ket._pol.items().isdisjoint(placed)]
 
-    def _clear_of(self, labels: Iterable[ModeLabel]) -> "PureState":
-        """This state, or, when its route names ``labels`` (a mode a PBS made
-        or a photon stored under the label), the same state with its physical
-        kets stored and no route. An element calls it before it stores new
-        photons under ``labels``, so that no route entry moves or hides them."""
-        if self._route is not None:
-            to, at = self._route
-            for m in labels:
-                if m in at or (m, Polarization.H) in to or (m, Polarization.V) in to:
-                    state = object.__new__(PureState)
-                    state._store(self._physical(), self._norm2, self.modes,
-                                 self.photon_count, True)
-                    return state
-        return self
-
     def _physical(self) -> dict[Ket, complex]:
-        """The terms over the modes their photons occupy, in stored order: the
-        stored terms when there is no route, else built on the first read."""
+        """The terms over the modes their photons occupy, in stored order,
+        built on the first read."""
         kets = self._kets
         if kets is None:
             where = self._route[0].get
@@ -346,16 +310,17 @@ class PureState:
         return kets
 
     def _store(self, terms: dict[Ket, complex], n2: float, registry: frozenset[ModeLabel],
-               count: int, hv_used: bool,
-               route: tuple[dict, dict] | None = None) -> None:
+               count: int, hv_used: bool, route: tuple[dict, dict],
+               kets: dict[Ket, complex] | None) -> None:
         """Cap the squared norm at 1 and set the slots. ``route`` is the pair
-        (stored photon -> mode, mode -> stored photons), or None for none."""
+        (stored photon -> mode, mode -> stored photons); ``kets`` the physical
+        terms, or None to build them on the first read."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
         _set(self, "_terms", terms)
         _set(self, "_norm2", n2)
         _set(self, "_route", route)
-        _set(self, "_kets", terms if route is None else None)
+        _set(self, "_kets", kets)
         _set(self, "modes", registry)
         _set(self, "photon_count", count)
         _set(self, "uses_polarization", hv_used)
@@ -386,6 +351,70 @@ class PureState:
         ordered = sorted(self._physical().items(), key=lambda kv: _ket_key(kv[0]))
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
         return f"PureState({parts})"
+
+
+def _split(state: PureState, mode: ModeLabel, outs: tuple[ModeLabel, ModeLabel],
+           amps: tuple[float, float], registry: frozenset[ModeLabel]) -> PureState:
+    """A VBS's output: each term with a photon in ``mode`` becomes two, with
+    that photon stored under each label of ``outs`` and the amplitude scaled
+    by the matching factor of ``amps``; every other term passes on."""
+    if not state._route[1].keys().isdisjoint(outs):
+        # the route names an output label (every mode a PBS made or consumed,
+        # so every label of a photon it moved): store the physical kets anew
+        state = PureState(state._physical(), state.modes)
+    held = state._holders(mode)
+    (out_t, out_r), (amp_t, amp_r) = outs, amps
+    terms = {}
+    for ket, amp in state._terms.items():
+        pol = ket._pol
+        for label, tag in held:
+            if pol.get(label) is tag:
+                terms[ket.move(label, out_t)] = amp * amp_t
+                terms[ket.move(label, out_r)] = amp * amp_r
+                break
+        else:
+            terms[ket] = amp
+    return PureState._derive(state, terms, registry)
+
+
+def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, ModeLabel]],
+           registry: frozenset[ModeLabel]) -> PureState:
+    """A PBS's output: the same stored terms and squared norm, and a route
+    that sends each photon in an input mode of ``ports`` to the output that
+    ``ports`` names for its tag. Costs O(ports) and one route copy, and with
+    two inputs a scan of the terms in the first for a ModeCollision: two
+    photons that would share an output."""
+    moves = [(photon, out[photon[1]]) for src, out in ports.items()
+             for photon in state._holders(src)]
+    if len(ports) == 2:
+        a, b = ports
+        for ket in state._holding(a):
+            photons = ket._pol.items()
+            dsts = [dst for photon, dst in moves if photon in photons]
+            if len(set(dsts)) < len(dsts):
+                raise ModeCollision(f"photons in {a!r} and {b!r} would share an output")
+    to, at = map(dict.copy, state._route)
+    for src, out in ports.items():
+        at[src] = ()
+        at.update(dict.fromkeys(out.values(), ()))
+    for photon, dst in moves:
+        to[photon] = dst
+        at[dst] += (photon,)
+    steered = object.__new__(PureState)
+    steered._store(state._terms, state._norm2, registry, state.photon_count,
+                   state.uses_polarization, (to, at), None)
+    return steered
+
+
+def _dark(state: PureState, mode: ModeLabel) -> PureState:
+    """A vacuum detector's kept state: the terms with no photon in ``mode``,
+    in term order. Raises ZeroState when every term holds one."""
+    kept = state._terms.copy()
+    for ket in state._holding(mode):
+        del kept[ket]
+    if not kept:
+        raise ZeroState(f"vacuum branch at {mode!r} is empty")
+    return PureState._derive(state, kept, state.modes)
 
 
 class _Terms(Mapping):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import wecp
 from wecp import cli
 from wecp.cli import main
-from wecp.protocols import RunReport
+from wecp.protocols import MAX_PARTIES, RunReport, default_party_labels
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "compare_points3.csv"
@@ -290,6 +290,36 @@ def test_compare_rejects_more_cap_pairs_than_curve_letters(capsys):
         record = json.loads(err)
         assert record["error"] == error
         assert "round-cap pairs" not in record["message"]
+
+
+def test_rejects_more_parties_than_the_labels_name(capsys):
+    # the default labels are letters up to the limit: a1 to z1, aa1 to zz1
+    assert default_party_labels(MAX_PARTIES)[-1] == "zz1"
+    assert not default_party_labels(MAX_PARTIES + 1)[-1][:-1].isalpha()
+    too_many = ",".join([repr(1 / 703)] * 703)
+    for argv in (["run", "--protocol", "single-photon", "--coeffs2", too_many],
+                 ["verify", "--trials", "1", "--n-range", "2,703"],
+                 ["verify", "--trials", "1", "--n-range", "1,1", "--coeffs2", too_many]):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "BadCoefficients",
+                                   "message": "at most 702 parties, got 703"}
+    # too many parties and one more fault report that fault, as before the limit
+    for argv, error in ((["verify", "--trials", "0", "--n-range", "2,703"], "BadCoefficients"),
+                        (["verify", "--n-range", "2,703", "--seed", "-1"], "UsageError"),
+                        (["verify", "--coeffs2", too_many + ",0.5"], "BadCoefficients"),
+                        (["run", "--protocol", "polarization", "--coeffs2", too_many,
+                          "--phases", "0"], "BadCoefficients")):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == error
+        assert "parties" not in record["message"]
+    code, out, _ = run_main(capsys, ["run", "--protocol", "single-photon",
+                                     "--coeffs2", ",".join([repr(1 / 702)] * 702)])
+    assert code == 0
+    assert out.startswith("protocol: single-photon\n")
 
 
 def test_compare_single_point(capsys):

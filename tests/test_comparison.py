@@ -1,5 +1,6 @@
 """Tests for the iterative-baseline closed forms and the four-curve sweep."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,24 +27,27 @@ def params(a2, b2, g2, caps=(25, 25)):
                           iterations_step1=caps[0], iterations_step2=caps[1])
 
 
-# --- naive-form oracle (raw powers; only usable for small round indices) ---
+# --- naive-form oracle: the raw powers, evaluated exactly over fractions of
+# the squared moduli (every power is even, so no square root is taken) -------
 
 def naive_step1(a2, b2, g2, n):
-    al, be, ga = math.sqrt(a2), math.sqrt(b2), math.sqrt(g2)
-    num = al ** (2 ** n) * (be ** (2 ** n - 2) * ga ** 2 + 2 * be ** (2 ** n))
-    den = 1.0
+    a2, b2, g2 = Fraction(a2), Fraction(b2), Fraction(g2)
+    half = 2 ** (n - 1)  # alpha^(2^n) = (alpha^2)^(2^(n-1))
+    num = a2 ** half * (b2 ** (half - 1) * g2 + 2 * b2 ** half)
+    den = 1
     for k in range(1, n + 1):
-        den *= al ** (2 ** k) + be ** (2 ** k)
-    return num / den
+        den *= a2 ** (2 ** (k - 1)) + b2 ** (2 ** (k - 1))
+    return float(num / den)
 
 
 def naive_step2(a2, b2, g2, m):
-    be, ga = math.sqrt(b2), math.sqrt(g2)
-    num = 3 * be ** (2 ** m) * ga ** (2 ** m)
-    den = 1.0
+    b2, g2 = Fraction(b2), Fraction(g2)
+    half = 2 ** (m - 1)
+    num = 3 * b2 ** half * g2 ** half
+    den = 1
     for k in range(1, m + 1):
-        den *= ga ** (2 ** k) + be ** (2 ** k)
-    return num / den / (ga ** 2 + 2 * be ** 2)
+        den *= g2 ** (2 ** (k - 1)) + b2 ** (2 ** (k - 1))
+    return float(num / den / (g2 + 2 * b2))
 
 
 # --- validation -----------------------------------------------------------

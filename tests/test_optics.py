@@ -1,4 +1,5 @@
 """Tests for the three optical elements."""
+import copy
 import math
 
 import pytest
@@ -195,6 +196,18 @@ def test_counting_routed_terms_builds_no_ket(partial_pol_w3):
     assert out._kets is not None
     with pytest.raises(TypeError):
         out.terms[pol_ket(("a2", H), ("b1", V), ("c1", V))] = 1.0
+
+
+def test_a_pbs_writes_no_route_but_its_own(partial_pol_w3):
+    # a PBS extends a copy of its input's route; the constructor gives every
+    # state routes of its own, so a write that skipped the copy could reach
+    # no other state
+    other = PureState(dict(partial_pol_w3.terms))
+    routes = [partial_pol_w3._route, other._route]
+    before = copy.deepcopy(routes)
+    out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
+    assert routes == before
+    assert len({id(part) for route in routes + [out._route] for part in route}) == 6
 
 
 @pytest.mark.parametrize("in_a, in_b", [("zz", None), ("a1", "zz")])
@@ -408,18 +421,27 @@ def chain_steps(draw, state):
     return apply_pbs, PbsWiring(*labels), _route_every_photon
 
 
+def _snapshot(state):
+    """Terms in order, registry and squared norm (exact)."""
+    return list(state.terms.items()), state.modes, norm_squared(state)
+
+
 @settings(max_examples=300)
 @given(pbs_cases(), st.integers(2, 6), st.data())
 def test_chained_elements_match_references(case, length, data):
-    # After a PBS the output holds its photons through a route, which the
-    # next elements read and extend; the references rebuild every ket from
-    # the previous output's public terms. Each step must agree on the terms
-    # in order, the registry, the norm bits and the error, so a stale or
-    # aliased route shows, also when an output reuses a consumed label.
+    # Every state carries a route, which a PBS extends and the next elements
+    # read; the references rebuild every ket from the previous output's
+    # public terms. Each step must agree on the terms in order, the registry,
+    # the norm bits and the error, so a stale or aliased route shows, also
+    # when an output reuses a consumed label. An element never changes its
+    # input: the input reads the same after it ran, and the element run
+    # again on it gives the next step's state.
     state, _ = case
     for _ in range(length):
         element, setting, reference = data.draw(chain_steps(state))
+        before = _snapshot(state)
         outcome = _outcome(element, state, setting)
+        assert _snapshot(state) == before
         assert outcome == _outcome(reference, state, setting)
         if isinstance(outcome, type):
             return
