@@ -38,6 +38,9 @@ from .state import _left_sum
 
 MATCH_TOL = 1e-10
 FIDELITY_TOL = 1e-10
+# Bounds on the work one command line may ask for; README states the cost at each.
+_MAX_POINTS = 10_000_000
+_MAX_TRIALS = 100_000
 
 _DRIVERS = {
     "single-photon": run_single_photon_ecp,
@@ -276,6 +279,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             grid = default_alpha_grid(args.points)
             if len(caps) > MAX_CAP_PAIRS:  # the curves would run out of letters
                 raise DomainError(f"at most {MAX_CAP_PAIRS} round-cap pairs, got {len(caps)}")
+            if args.points > _MAX_POINTS:
+                raise DomainError(f"at most {_MAX_POINTS} grid points, got {args.points}")
             run = functools.partial(_compare, grid, caps)
         else:
             lo, hi = (int(x) for x in args.n_range.split(","))
@@ -289,6 +294,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"seed must be nonnegative, got {seed}")
             forced = WCoefficients.from_squared(coeffs2) if coeffs2 is not None else None
             _check_party_count(hi if forced is None else forced.n)
+            if args.trials > _MAX_TRIALS:
+                raise BadCoefficients(f"at most {_MAX_TRIALS} trials, got {args.trials}")
             run = functools.partial(_verify, args.trials, (lo, hi), seed, forced)
     except ValueError as exc:
         return _fail_validation(exc)

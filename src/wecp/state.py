@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
 from functools import reduce
-from operator import itemgetter, xor
+from operator import add, itemgetter, xor
 
 ModeLabel = str
 
@@ -66,9 +66,6 @@ def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
     return tuple([(m, _TAG_TEXT[pol[m]]) for m in sorted(pol)])
 
 
-_set = object.__setattr__
-
-
 class Ket:
     """Photon pattern: which modes hold a photon, and each photon's tag.
 
@@ -89,8 +86,8 @@ class Ket:
         pol = dict(photons)
         if len(pol) != len(photons):
             raise ModeCollision(f"duplicate occupancy in ket: {sorted(m for m, _ in photons)}")
-        _set(self, "_pol", pol)
-        _set(self, "_hash", reduce(xor, map(hash, photons), 0) & _HASH_MASK)
+        _put_pol(self, pol)
+        _put_hash(self, reduce(xor, map(hash, photons), 0) & _HASH_MASK)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ket is immutable")
@@ -140,8 +137,8 @@ class Ket:
         moved = pol.copy()
         moved[dst] = moved.pop(src)
         new = object.__new__(Ket)
-        _set(new, "_pol", moved)
-        _set(new, "_hash", self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
+        _put_pol(new, moved)
+        _put_hash(new, self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
         return new
 
     def __repr__(self) -> str:
@@ -156,14 +153,14 @@ def _ket_of(pol: dict[ModeLabel, Polarization]) -> Ket:
     """The ket whose mode->tag map is ``pol``, which it then owns. Hashes
     each photon through the item view, so no photon tuple is kept."""
     ket = object.__new__(Ket)
-    _set(ket, "_pol", pol)
-    _set(ket, "_hash", reduce(xor, map(hash, pol.items()), 0) & _HASH_MASK)
+    _put_pol(ket, pol)
+    _put_hash(ket, reduce(xor, map(hash, pol.items()), 0) & _HASH_MASK)
     return ket
 
 
 def _left_sum(values: Iterable, start):
     """``start`` plus each of ``values``, left to right: every sum that feeds an
-    output (``_prune`` fuses the same loop). The builtin ``sum`` is compensated
+    output (``_norm`` folds the same additions). The builtin ``sum`` is compensated
     from Python 3.12 (floats) or 3.14 (complex), so its bits vary by version."""
     total = start
     for x in values:
@@ -171,50 +168,48 @@ def _left_sum(values: Iterable, start):
     return total
 
 
-def _prune(terms: dict[Ket, complex]) -> float:
-    """Every state's one amplitude pass: delete each term below
-    ``DEFAULT_PRUNE_EPS`` and return the kept squared norm, summed in term
-    order. A NaN is never pruned but raises ValueError, and ZeroState is
-    raised when no term is left."""
-    n2 = 0.0
-    pruned = []
-    for ket, a in terms.items():
+def _prune(pairs: Iterable[tuple[Ket, complex]]) -> tuple[list, list, list]:
+    """The amplitude pass: the kets, amplitudes and squared moduli (``re*re +
+    im*im``) of the pairs at or above ``DEFAULT_PRUNE_EPS``; a NaN raises."""
+    kets, amps, squares = [], [], []
+    for ket, a in pairs:
         m2 = a.real * a.real + a.imag * a.imag
         if m2 >= DEFAULT_PRUNE_EPS:
-            n2 += m2
-        elif m2 < DEFAULT_PRUNE_EPS:
-            pruned.append(ket)
-        else:
+            kets.append(ket)
+            amps.append(a)
+            squares.append(m2)
+        elif not m2 < DEFAULT_PRUNE_EPS:
             raise ValueError(f"amplitude {a} at {ket} is NaN")
-    for ket in pruned:
-        del terms[ket]
-    if not terms:
+    return kets, amps, squares
+
+
+def _norm(squares: list[float]) -> float:
+    """The squared moduli summed left to right; ZeroState if there are none."""
+    if not squares:
         raise ZeroState("state has no terms above the pruning threshold")
-    return n2
+    return reduce(add, squares, 0.0)
 
 
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
-    Every state's amplitudes go through one pass (prune, NaN, squared norm).
-    The constructor also checks each kept term's photon count, convention and
-    modes. An optics element moves photons of its validated parent, which
-    keeps all three, so only the amplitude pass runs again; a PBS keeps every
-    amplitude in its place and skips that pass too. A copied or unpickled
-    state is rebuilt through the constructor.
+    Terms are three ordered columns, never written once built: the stored
+    kets, their amplitudes and each amplitude's squared modulus, whose left to
+    right sum is the squared norm. Only new amplitudes go through ``_prune``.
+    The constructor's are all new; it also checks each term's photon count,
+    convention and modes, which elements keep. A VBS or a detector copies its
+    input's columns in C and splices in or deletes only the terms it changes;
+    a PBS shares them. Copy and pickle go through the constructor.
 
-    Every state holds its terms as stored kets plus a route, a pair of maps:
-    each stored photon ``(label, tag)`` that a PBS moved, to the mode it
-    occupies now; and each mode a PBS made or consumed, to the stored photons
-    it holds (none, once consumed). Any other mode holds the photons stored
-    under its own label. The constructor's route is empty, so its stored kets
-    are its physical kets. A PBS composes the route in O(ports) and hands on
-    its parent's stored terms and squared norm. A VBS or a detector finds the
-    photons in its mode through the route, rewrites only the terms that hold
-    one, and hands the route on; a VBS stores each photon it splits under its
-    output label. Once a PBS has acted, the physical kets are built where
-    something reads them (``terms``, ``==``, ``repr``, ``fidelity``, copy and
-    pickle), once, and cached; counting the terms builds none.
+    A route maps each stored photon ``(label, tag)`` a PBS moved to the mode
+    it occupies now, and each mode a PBS made or consumed to the stored
+    photons it holds (none, once consumed); any other mode holds the photons
+    stored under its label. It is empty from the constructor; a PBS extends
+    it in O(ports), a VBS or a detector hands it on, and a VBS stores the
+    photons it splits under its output labels. Once a PBS has acted, the
+    physical kets and ket->amplitude map are built once, where read
+    (``terms``, ``==``, ``repr``, ``fidelity``, copy, pickle); ``len`` builds
+    neither.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -233,14 +228,15 @@ class PureState:
             ``modes``.
     """
 
-    __slots__ = ("_terms", "_norm2", "_route", "_kets", "modes", "photon_count",
-                 "uses_polarization")
+    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_kets", "_terms",
+                 "modes", "photon_count", "uses_polarization")
 
     def __init__(self, terms: Mapping[Ket, complex],
                  modes: Iterable[ModeLabel] | None = None) -> None:
         own = {ket: complex(amp) for ket, amp in terms.items()}
-        n2 = _prune(own)
-        pols = [ket._pol for ket in own]
+        kets, amps, squares = _prune(own.items())
+        n2 = _norm(squares)
+        pols = [ket._pol for ket in kets]
         counts = set(map(len, pols))
         tags = set().union(*[pol.values() for pol in pols])
         occupied = frozenset().union(*pols)
@@ -251,34 +247,18 @@ class PureState:
             raise IncompatibleStates("kets mix tagged and untagged photons")
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
-        self._store(own, n2, registry, counts.pop(), Polarization.NONE not in tags, ({}, {}),
-                    own)
+        self._store(kets, amps, squares, n2, registry, counts.pop(),
+                    Polarization.NONE not in tags, ({}, {}), kets,
+                    own if len(kets) == len(own) else None)
 
     @classmethod
-    def _derive(cls, parent: "PureState", terms: dict[Ket, complex],
+    def _derive(cls, parent: "PureState", terms: Mapping[Ket, complex],
                 registry: frozenset[ModeLabel]) -> "PureState":
-        """A VBS's or a detector's output, built from its validated parent,
-        whose route it keeps. No term holds a photon the route moved unless a
-        parent term did, so the stored kets are physical if the parent's are.
-
-        Precondition: every term of ``terms`` is a stored term of ``parent``
-        or one whose photon ``Ket.move`` put under a label that no stored
-        photon of ``parent`` or its route names, no two moved terms meet, and
-        ``registry`` registers every mode a term occupies; the port rule and
-        ``_split`` keep all three. A move keeps the photon count and every
-        tag, so the output needs only the constructor's amplitude pass, and
-        both give the same terms and norm bits. Pruned kets are deleted from
-        ``terms``, which the new state then owns.
-        """
-        state = object.__new__(cls)
-        state._store(terms, _prune(terms), registry, parent.photon_count,
-                     parent.uses_polarization, parent._route,
-                     terms if parent._kets is parent._terms else None)
-        return state
+        """``_columns`` of ``terms``, each through the amplitude pass."""
+        return _columns(parent, *_prune(terms.items()), registry)
 
     def _holders(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, Polarization], ...]:
-        """The stored photons, as (label, tag), that may sit in ``mode``. Some
-        may be held by no term: a PBS routes both tags of a mode it consumes."""
+        """The stored (label, tag) photons in ``mode``, whether a term holds them or not."""
         placed = self._route[1].get(mode)
         if placed is not None:
             return placed
@@ -286,44 +266,54 @@ class PureState:
             return (mode, Polarization.H), (mode, Polarization.V)
         return ((mode, Polarization.NONE),)
 
-    def _holding(self, mode: ModeLabel) -> list[Ket]:
-        """The stored kets that hold a photon in ``mode``, in term order."""
+    def _holding(self, mode: ModeLabel) -> list[tuple[int, ModeLabel]]:
+        """(position, stored label) of each photon in ``mode``, in term order:
+        the VBS's, detector's and PBS's one scan. A ket holds one at most."""
         placed = self._route[1].get(mode)
         if placed is None:
-            return [ket for ket in self._terms if mode in ket._pol]
-        return [ket for ket in self._terms if not ket._pol.items().isdisjoint(placed)]
+            return [(i, mode) for i, ket in enumerate(self._stored) if mode in ket._pol]
+        return sorted([(i, label) for label, tag in placed
+                       for i, ket in enumerate(self._stored) if ket._pol.get(label) is tag])
 
-    def _physical(self) -> dict[Ket, complex]:
-        """The terms over the modes their photons occupy, in stored order,
-        built on the first read."""
+    def _physical_kets(self) -> list[Ket]:
+        """The kets over the modes their photons occupy, built on first read."""
         kets = self._kets
         if kets is None:
             where = self._route[0].get
-            kets = {}
-            for ket, amp in self._terms.items():
+            kets = []
+            for ket in self._stored:
                 pol = ket._pol
                 moved = dict(zip(map(where, pol.items(), pol), pol.values()))
                 if len(moved) != len(pol):
                     raise ModeCollision(f"the route puts two photons of {ket} in one mode")
-                kets[_ket_of(moved)] = amp
-            _set(self, "_kets", kets)
+                kets.append(_ket_of(moved))
+            _put_kets(self, kets)
         return kets
 
-    def _store(self, terms: dict[Ket, complex], n2: float, registry: frozenset[ModeLabel],
-               count: int, hv_used: bool, route: tuple[dict, dict],
-               kets: dict[Ket, complex] | None) -> None:
-        """Cap the squared norm at 1 and set the slots. ``route`` is the pair
-        (stored photon -> mode, mode -> stored photons); ``kets`` the physical
-        terms, or None to build them on the first read."""
+    def _physical(self) -> dict[Ket, complex]:
+        """The physical ket->amplitude map, in term order, built on first read."""
+        terms = self._terms
+        if terms is None:
+            terms = dict(zip(self._physical_kets(), self._amps))
+            _put_terms(self, terms)
+        return terms
+
+    def _store(self, stored: list[Ket], amps: list[complex], squares: list[float], n2: float,
+               registry: frozenset[ModeLabel], count: int, hv_used: bool,
+               route: tuple[dict, dict], kets: list | None, terms: dict | None) -> None:
+        """Cap the squared norm at 1 and set the slots (None: build on read)."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
-        _set(self, "_terms", terms)
-        _set(self, "_norm2", n2)
-        _set(self, "_route", route)
-        _set(self, "_kets", kets)
-        _set(self, "modes", registry)
-        _set(self, "photon_count", count)
-        _set(self, "uses_polarization", hv_used)
+        _put_stored(self, stored)
+        _put_amps(self, amps)
+        _put_squares(self, squares)
+        _put_norm2(self, n2)
+        _put_route(self, route)
+        _put_kets(self, kets)
+        _put_terms(self, terms)
+        _put_modes(self, registry)
+        _put_count(self, count)
+        _put_hv(self, hv_used)
 
     def __reduce__(self):
         # copy and pickle rebuild through the validating constructor
@@ -348,48 +338,61 @@ class PureState:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        ordered = sorted(self._physical().items(), key=lambda kv: _ket_key(kv[0]))
+        ordered = sorted(zip(self._physical_kets(), self._amps), key=lambda kv: _ket_key(kv[0]))
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
         return f"PureState({parts})"
 
 
+# Slots are written past the guards by their descriptors: half object.__setattr__'s cost.
+_put_pol, _put_hash = Ket._pol.__set__, Ket._hash.__set__
+(_put_stored, _put_amps, _put_squares, _put_norm2, _put_route, _put_kets, _put_terms,
+ _put_modes, _put_count, _put_hv) = [getattr(PureState, slot).__set__ for slot in (
+    "_stored", "_amps", "_squares", "_norm2", "_route", "_kets", "_terms",
+    "modes", "photon_count", "uses_polarization")]
+
+
+def _columns(parent: PureState, stored: list[Ket], amps: list[complex],
+             squares: list[float], registry: frozenset[ModeLabel]) -> PureState:
+    """A VBS's or a detector's output: checked columns with the photon count,
+    convention and route of ``parent``; physical kets if the parent's are.
+    Precondition (the port rule and ``_split`` keep it): each ket is the
+    parent's or moved by ``Ket.move`` to a label no stored photon or route
+    names, no two are equal, and ``registry`` holds their modes."""
+    state = object.__new__(PureState)
+    state._store(stored, amps, squares, _norm(squares), registry, parent.photon_count,
+                 parent.uses_polarization, parent._route,
+                 stored if parent._kets is parent._stored else None, None)
+    return state
+
+
 def _split(state: PureState, mode: ModeLabel, outs: tuple[ModeLabel, ModeLabel],
-           amps: tuple[float, float], registry: frozenset[ModeLabel]) -> PureState:
-    """A VBS's output: each term with a photon in ``mode`` becomes two, with
-    that photon stored under each label of ``outs`` and the amplitude scaled
-    by the matching factor of ``amps``; every other term passes on."""
+           factors: tuple[float, float], registry: frozenset[ModeLabel]) -> PureState:
+    """A VBS's output: each term with a photon in ``mode`` becomes two in its
+    slot, the photon under each label of ``outs``, scaled by each factor."""
     if not state._route[1].keys().isdisjoint(outs):
         # the route names an output label (every mode a PBS made or consumed,
         # so every label of a photon it moved): store the physical kets anew
         state = PureState(state._physical(), state.modes)
-    held = state._holders(mode)
-    (out_t, out_r), (amp_t, amp_r) = outs, amps
-    terms = {}
-    for ket, amp in state._terms.items():
-        pol = ket._pol
-        for label, tag in held:
-            if pol.get(label) is tag:
-                terms[ket.move(label, out_t)] = amp * amp_t
-                terms[ket.move(label, out_r)] = amp * amp_r
-                break
-        else:
-            terms[ket] = amp
-    return PureState._derive(state, terms, registry)
+    (out_t, out_r), (amp_t, amp_r) = outs, factors
+    stored, amps, squares = list(state._stored), list(state._amps), list(state._squares)
+    for i, label in reversed(state._holding(mode)):
+        ket, amp = stored[i], amps[i]
+        stored[i:i + 1], amps[i:i + 1], squares[i:i + 1] = _prune(
+            ((ket.move(label, out_t), amp * amp_t), (ket.move(label, out_r), amp * amp_r)))
+    return _columns(state, stored, amps, squares, registry)
 
 
 def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, ModeLabel]],
            registry: frozenset[ModeLabel]) -> PureState:
-    """A PBS's output: the same stored terms and squared norm, and a route
-    that sends each photon in an input mode of ``ports`` to the output that
-    ``ports`` names for its tag. Costs O(ports) and one route copy, and with
-    two inputs a scan of the terms in the first for a ModeCollision: two
-    photons that would share an output."""
+    """A PBS's output: the same columns and norm, and a route sending each
+    photon in an input of ``ports`` to the output named for its tag. With two
+    inputs, one scan finds a ModeCollision: two photons sharing an output."""
     moves = [(photon, out[photon[1]]) for src, out in ports.items()
              for photon in state._holders(src)]
     if len(ports) == 2:
         a, b = ports
-        for ket in state._holding(a):
-            photons = ket._pol.items()
+        for i, _ in state._holding(a):
+            photons = state._stored[i]._pol.items()
             dsts = [dst for photon, dst in moves if photon in photons]
             if len(set(dsts)) < len(dsts):
                 raise ModeCollision(f"photons in {a!r} and {b!r} would share an output")
@@ -401,29 +404,25 @@ def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, Mod
         to[photon] = dst
         at[dst] += (photon,)
     steered = object.__new__(PureState)
-    steered._store(state._terms, state._norm2, registry, state.photon_count,
-                   state.uses_polarization, (to, at), None)
+    steered._store(state._stored, state._amps, state._squares, state._norm2, registry,
+                   state.photon_count, state.uses_polarization, (to, at), None, None)
     return steered
 
 
 def _dark(state: PureState, mode: ModeLabel) -> PureState:
-    """A vacuum detector's kept state: the terms with no photon in ``mode``,
-    in term order. Raises ZeroState when every term holds one."""
-    kept = state._terms.copy()
-    for ket in state._holding(mode):
-        del kept[ket]
-    if not kept:
+    """A vacuum detector's kept state: the terms with no photon in ``mode``."""
+    hits = state._holding(mode)
+    if len(hits) == len(state._stored):
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    return PureState._derive(state, kept, state.modes)
+    stored, amps, squares = list(state._stored), list(state._amps), list(state._squares)
+    for i, _ in reversed(hits):
+        del stored[i], amps[i], squares[i]
+    return _columns(state, stored, amps, squares, state.modes)
 
 
 class _Terms(Mapping):
-    """Read-only view of a state's terms over the modes their photons occupy.
-
-    A route only renames photons, so the view's length is the number of
-    stored terms and ``len`` builds no ket. Every other read goes to the
-    physical kets (``PureState._physical``).
-    """
+    """Read-only view of the physical terms (``PureState._physical``); as a
+    route only renames photons, ``len`` counts stored terms, building none."""
 
     __slots__ = ("_state",)
 
@@ -431,7 +430,7 @@ class _Terms(Mapping):
         self._state = state
 
     def __len__(self) -> int:
-        return len(self._state._terms)
+        return len(self._state._stored)
 
     def __getitem__(self, ket: Ket) -> complex:
         return self._state._physical()[ket]
@@ -465,7 +464,8 @@ def fidelity(a: PureState, b: PureState) -> float:
         raise IncompatibleStates("cannot overlap tagged and untagged states")
     tb = b._physical()
     shared = sorted(
-        ((_ket_key(k), x, y) for k, x in a._physical().items() if (y := tb.get(k)) is not None),
+        ((_ket_key(k), x, y) for k, x in zip(a._physical_kets(), a._amps)
+         if (y := tb.get(k)) is not None),
         key=itemgetter(0),
     )
     overlap = _left_sum((x.conjugate() * y for _, x, y in shared), 0j)

@@ -322,6 +322,42 @@ def test_rejects_more_parties_than_the_labels_name(capsys):
     assert out.startswith("protocol: single-photon\n")
 
 
+def test_rejects_more_points_and_trials_than_the_limits(capsys, monkeypatch):
+    # each limit bounds the work of one command line
+    points, trials = str(cli._MAX_POINTS + 1), str(cli._MAX_TRIALS + 1)
+    for argv, error, message in (
+            (["compare", "--points", points], "DomainError",
+             f"at most {cli._MAX_POINTS} grid points, got {points}"),
+            (["verify", "--trials", trials], "BadCoefficients",
+             f"at most {cli._MAX_TRIALS} trials, got {trials}"),
+            (["verify", "--trials", "99999999999999999999", "--coeffs2", "0.5,0.5"],
+             "BadCoefficients", f"at most {cli._MAX_TRIALS} trials, got 99999999999999999999")):
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
+    # above a limit and one more fault report that fault, as before the limit
+    pairs = [f"{k},{k}" for k in range(1, 27)]
+    for argv, error in ((["compare", "--points", points, "--caps", "0,1"], "DomainError"),
+                        (["compare", "--points", points, "--caps", *pairs], "DomainError"),
+                        (["verify", "--trials", trials, "--n-range", "5,2"], "BadCoefficients"),
+                        (["verify", "--trials", trials, "--seed", "-1"], "UsageError"),
+                        (["verify", "--trials", trials, "--n-range", "2,703"], "BadCoefficients"),
+                        (["verify", "--trials", trials, "--coeffs2", "0.5,0.6"],
+                         "BadCoefficients")):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == error
+        assert "grid points" not in record["message"]
+        assert "trials" not in record["message"]
+    # at the limit verify runs (compare streams: see the grid test below)
+    calls = []
+    monkeypatch.setattr(cli, "_verify", lambda *args: calls.append(args) or 0)
+    assert main(["verify", "--trials", str(cli._MAX_TRIALS)]) == 0
+    assert [args[0] for args in calls] == [cli._MAX_TRIALS]
+
+
 def test_compare_single_point(capsys):
     code, out, _ = run_main(capsys, ["compare", "--points", "1"])
     assert code == 0
@@ -362,20 +398,21 @@ def _cli_env():
     return {**os.environ, "PYTHONPATH": str(Path(wecp.__file__).parents[1])}
 
 
-HUGE_GRID_SCRIPT = """
+HUGE_GRID_SCRIPT = f"""
 import resource, sys
 limit = 256 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from wecp.cli import main
-sys.exit(main(["compare", "--points", "100000000000"]))
+sys.exit(main(["compare", "--points", "{cli._MAX_POINTS}"]))
 """
 
 
 def test_compare_streams_a_grid_too_large_to_hold(capsys):
-    # 1e11 points would take terabytes as one tuple. The child's address space
-    # is capped, so a grid built before the first row dies there with a
-    # MemoryError instead of exhausting the host; a streamed grid writes rows
-    # at once. The child is killed after two lines, or after 60 s.
+    # The most points a command line may ask for, 1e7, take about 320 MB as
+    # one tuple of floats. The child's address space is capped below that,
+    # so a grid built before the first row dies there with a MemoryError; a
+    # streamed grid writes rows at once. The child is killed after two lines,
+    # or after 60 s.
     with subprocess.Popen([sys.executable, "-u", "-c", HUGE_GRID_SCRIPT], env=_cli_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True) as proc:

@@ -198,6 +198,32 @@ def test_counting_routed_terms_builds_no_ket(partial_pol_w3):
         out.terms[pol_ket(("a2", H), ("b1", V), ("c1", V))] = 1.0
 
 
+def test_elements_hash_no_ket(monkeypatch):
+    # A VBS or a detector copies its input's columns and splices only the
+    # terms it changes, and a PBS shares them, so no element hashes a ket.
+    # Reading the physical terms does, once per ket.
+    parties = [f"p{i}" for i in range(32)]
+    amp = 1 / math.sqrt(len(parties))
+    single_photon = PureState({single(m): amp for m in parties})
+    polarization = PureState({pol_ket(*((m, H if m == hot else V) for m in parties)): amp
+                              for hot in parties})
+    routed = apply_pbs(polarization, PbsWiring("p0", None, "q0", "q1"))
+    calls = []
+    original = Ket.__hash__
+
+    def counting(ket):
+        calls.append(ket)
+        return original(ket)
+
+    monkeypatch.setattr(Ket, "__hash__", counting)
+    kept = detect_vacuum(apply_vbs(single_photon, VbsSetting("p5", "r0", "r1", 0.25)), "r1")
+    dark = detect_vacuum(apply_vbs(routed, VbsSetting("q0", "r0", "r1", 0.25)), "r1")
+    merged = apply_pbs(dark.kept_state, PbsWiring("r0", "q1", "s0", "s1"))
+    assert calls == []
+    assert len(list(kept.kept_state.terms)) == len(calls) == 32
+    assert len(list(merged.terms)) == len(calls) - 32 == 32
+
+
 def test_a_pbs_writes_no_route_but_its_own(partial_pol_w3):
     # a PBS extends a copy of its input's route; the constructor gives every
     # state routes of its own, so a write that skipped the copy could reach
