@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
 from functools import reduce
-from operator import add, itemgetter, xor
+from operator import add, itemgetter
 
 ModeLabel = str
 
@@ -46,20 +46,6 @@ class Polarization(Enum):
 
 _TAG_TEXT = {pol: pol.value for pol in Polarization}
 
-# Per-photon hashes are kept to 63 bits, so their XOR is a non-negative
-# machine-size int that Python uses as the hash without reducing it again.
-_HASH_MASK = (1 << 63) - 1
-
-
-def _photon_hash(mode: ModeLabel, pol: Polarization) -> int:
-    """Hash of one photon: the builtin hash of its (mode, tag) pair, masked.
-
-    A ket hashes to the XOR of its photon hashes, which ignores photon order
-    and lets a move swap one photon's share in O(1). The mask distributes over
-    XOR, so ``Ket`` hashes all its photons in one C pass and masks once.
-    """
-    return hash((mode, pol)) & _HASH_MASK
-
 
 def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
     pol = ket._pol
@@ -70,11 +56,9 @@ class Ket:
     """Photon pattern: which modes hold a photon, and each photon's tag.
 
     A ket is its mode→polarization map, so kets built from permuted photon
-    lists compare equal. The hash is the XOR of the builtin hash of each
-    photon's (mode, tag) pair, masked to 63 bits (``_photon_hash``). The
-    constructor computes it in one C pass over the photons; ``move`` updates it
-    in O(1) by the moved photon's share. ``photons`` and ``modes`` are sorted by
-    mode label and derived on demand. Kets are immutable.
+    lists compare equal. The hash is the hash of the frozenset of its (mode,
+    tag) pairs, computed once when the ket is built. ``photons`` and ``modes``
+    are sorted by mode label and derived on demand. Kets are immutable.
     """
 
     __slots__ = ("_pol", "_hash")
@@ -87,7 +71,7 @@ class Ket:
         if len(pol) != len(photons):
             raise ModeCollision(f"duplicate occupancy in ket: {sorted(m for m, _ in photons)}")
         _put_pol(self, pol)
-        _put_hash(self, reduce(xor, map(hash, photons), 0) & _HASH_MASK)
+        _put_hash(self, hash(frozenset(photons)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ket is immutable")
@@ -129,17 +113,13 @@ class Ket:
             ModeCollision: ``dst`` already holds a photon.
         """
         pol = self._pol
-        tag = pol.get(src)
-        if tag is None:
+        if src not in pol:
             raise KeyError(f"no photon in mode {src!r}")
         if dst in pol:
             raise ModeCollision(f"mode {dst!r} already holds a photon in {self}")
         moved = pol.copy()
         moved[dst] = moved.pop(src)
-        new = object.__new__(Ket)
-        _put_pol(new, moved)
-        _put_hash(new, self._hash ^ _photon_hash(src, tag) ^ _photon_hash(dst, tag))
-        return new
+        return _ket_of(moved)
 
     def __repr__(self) -> str:
         inner = " ".join(
@@ -150,11 +130,10 @@ class Ket:
 
 
 def _ket_of(pol: dict[ModeLabel, Polarization]) -> Ket:
-    """The ket whose mode->tag map is ``pol``, which it then owns. Hashes
-    each photon through the item view, so no photon tuple is kept."""
+    """The ket whose mode->tag map is ``pol``, which it then owns."""
     ket = object.__new__(Ket)
     _put_pol(ket, pol)
-    _put_hash(ket, reduce(xor, map(hash, pol.items()), 0) & _HASH_MASK)
+    _put_hash(ket, hash(frozenset(pol.items())))
     return ket
 
 
@@ -201,15 +180,16 @@ class PureState:
     input's columns in C and splices in or deletes only the terms it changes;
     a PBS shares them. Copy and pickle go through the constructor.
 
-    A route maps each stored photon ``(label, tag)`` a PBS moved to the mode
-    it occupies now, and each mode a PBS made or consumed to the stored
-    photons it holds (none, once consumed); any other mode holds the photons
-    stored under its label. It is empty from the constructor; a PBS extends
-    it in O(ports), a VBS or a detector hands it on, and a VBS stores the
-    photons it splits under its output labels. Once a PBS has acted, the
-    physical kets and ket->amplitude map are built once, where read
-    (``terms``, ``==``, ``repr``, ``fidelity``, copy, pickle); ``len`` builds
-    neither.
+    A route is one map: each mode a PBS made or consumed to the stored
+    photons ``(label, tag)`` it holds (none, once consumed); any other mode
+    holds the photons stored under its label. A PBS empties every input it
+    consumes, so each stored photon sits in at most one entry. The route is
+    empty from the constructor; a PBS extends a copy in O(ports), a VBS or a
+    detector hands it on, and a VBS stores the photons it splits under its
+    output labels. The physical kets are the stored kets until a PBS acts;
+    after that they are built from the route where read (``terms``, ``==``,
+    ``repr``, ``fidelity``, copy, pickle). The physical ket->amplitude map is
+    built once per state; ``len`` builds nothing.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -228,7 +208,7 @@ class PureState:
             ``modes``.
     """
 
-    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_kets", "_terms",
+    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_terms",
                  "modes", "photon_count", "uses_polarization")
 
     def __init__(self, terms: Mapping[Ket, complex],
@@ -248,18 +228,12 @@ class PureState:
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
         self._store(kets, amps, squares, n2, registry, counts.pop(),
-                    Polarization.NONE not in tags, ({}, {}), kets,
+                    Polarization.NONE not in tags, {},
                     own if len(kets) == len(own) else None)
-
-    @classmethod
-    def _derive(cls, parent: "PureState", terms: Mapping[Ket, complex],
-                registry: frozenset[ModeLabel]) -> "PureState":
-        """``_columns`` of ``terms``, each through the amplitude pass."""
-        return _columns(parent, *_prune(terms.items()), registry)
 
     def _holders(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, Polarization], ...]:
         """The stored (label, tag) photons in ``mode``, whether a term holds them or not."""
-        placed = self._route[1].get(mode)
+        placed = self._route.get(mode)
         if placed is not None:
             return placed
         if self.uses_polarization:
@@ -269,25 +243,25 @@ class PureState:
     def _holding(self, mode: ModeLabel) -> list[tuple[int, ModeLabel]]:
         """(position, stored label) of each photon in ``mode``, in term order:
         the VBS's, detector's and PBS's one scan. A ket holds one at most."""
-        placed = self._route[1].get(mode)
+        placed = self._route.get(mode)
         if placed is None:
             return [(i, mode) for i, ket in enumerate(self._stored) if mode in ket._pol]
         return sorted([(i, label) for label, tag in placed
                        for i, ket in enumerate(self._stored) if ket._pol.get(label) is tag])
 
     def _physical_kets(self) -> list[Ket]:
-        """The kets over the modes their photons occupy, built on first read."""
-        kets = self._kets
-        if kets is None:
-            where = self._route[0].get
-            kets = []
-            for ket in self._stored:
-                pol = ket._pol
-                moved = dict(zip(map(where, pol.items(), pol), pol.values()))
-                if len(moved) != len(pol):
-                    raise ModeCollision(f"the route puts two photons of {ket} in one mode")
-                kets.append(_ket_of(moved))
-            _put_kets(self, kets)
+        """The kets over the modes their photons occupy: the stored kets until
+        a PBS acts, else built here through the route's inverse."""
+        if not self._route:
+            return self._stored
+        where = {photon: mode for mode, photons in self._route.items() for photon in photons}.get
+        kets = []
+        for ket in self._stored:
+            pol = ket._pol
+            moved = dict(zip(map(where, pol.items(), pol), pol.values()))
+            if len(moved) != len(pol):
+                raise ModeCollision(f"the route puts two photons of {ket} in one mode")
+            kets.append(_ket_of(moved))
         return kets
 
     def _physical(self) -> dict[Ket, complex]:
@@ -300,8 +274,8 @@ class PureState:
 
     def _store(self, stored: list[Ket], amps: list[complex], squares: list[float], n2: float,
                registry: frozenset[ModeLabel], count: int, hv_used: bool,
-               route: tuple[dict, dict], kets: list | None, terms: dict | None) -> None:
-        """Cap the squared norm at 1 and set the slots (None: build on read)."""
+               route: dict, terms: dict | None) -> None:
+        """Cap the squared norm at 1 and set the slots (``terms`` None: build on read)."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
         _put_stored(self, stored)
@@ -309,7 +283,6 @@ class PureState:
         _put_squares(self, squares)
         _put_norm2(self, n2)
         _put_route(self, route)
-        _put_kets(self, kets)
         _put_terms(self, terms)
         _put_modes(self, registry)
         _put_count(self, count)
@@ -345,23 +318,22 @@ class PureState:
 
 # Slots are written past the guards by their descriptors: half object.__setattr__'s cost.
 _put_pol, _put_hash = Ket._pol.__set__, Ket._hash.__set__
-(_put_stored, _put_amps, _put_squares, _put_norm2, _put_route, _put_kets, _put_terms,
+(_put_stored, _put_amps, _put_squares, _put_norm2, _put_route, _put_terms,
  _put_modes, _put_count, _put_hv) = [getattr(PureState, slot).__set__ for slot in (
-    "_stored", "_amps", "_squares", "_norm2", "_route", "_kets", "_terms",
+    "_stored", "_amps", "_squares", "_norm2", "_route", "_terms",
     "modes", "photon_count", "uses_polarization")]
 
 
 def _columns(parent: PureState, stored: list[Ket], amps: list[complex],
              squares: list[float], registry: frozenset[ModeLabel]) -> PureState:
     """A VBS's or a detector's output: checked columns with the photon count,
-    convention and route of ``parent``; physical kets if the parent's are.
-    Precondition (the port rule and ``_split`` keep it): each ket is the
-    parent's or moved by ``Ket.move`` to a label no stored photon or route
-    names, no two are equal, and ``registry`` holds their modes."""
+    convention and route of ``parent``. Precondition (the port rule and
+    ``_split`` keep it): each ket is the parent's or moved by ``Ket.move`` to
+    a label no stored photon or route names, no two are equal, and
+    ``registry`` holds their modes."""
     state = object.__new__(PureState)
     state._store(stored, amps, squares, _norm(squares), registry, parent.photon_count,
-                 parent.uses_polarization, parent._route,
-                 stored if parent._kets is parent._stored else None, None)
+                 parent.uses_polarization, parent._route, None)
     return state
 
 
@@ -369,7 +341,7 @@ def _split(state: PureState, mode: ModeLabel, outs: tuple[ModeLabel, ModeLabel],
            factors: tuple[float, float], registry: frozenset[ModeLabel]) -> PureState:
     """A VBS's output: each term with a photon in ``mode`` becomes two in its
     slot, the photon under each label of ``outs``, scaled by each factor."""
-    if not state._route[1].keys().isdisjoint(outs):
+    if not state._route.keys().isdisjoint(outs):
         # the route names an output label (every mode a PBS made or consumed,
         # so every label of a photon it moved): store the physical kets anew
         state = PureState(state._physical(), state.modes)
@@ -396,16 +368,15 @@ def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, Mod
             dsts = [dst for photon, dst in moves if photon in photons]
             if len(set(dsts)) < len(dsts):
                 raise ModeCollision(f"photons in {a!r} and {b!r} would share an output")
-    to, at = map(dict.copy, state._route)
+    route = state._route.copy()
     for src, out in ports.items():
-        at[src] = ()
-        at.update(dict.fromkeys(out.values(), ()))
+        route[src] = ()
+        route.update(dict.fromkeys(out.values(), ()))
     for photon, dst in moves:
-        to[photon] = dst
-        at[dst] += (photon,)
+        route[dst] += (photon,)
     steered = object.__new__(PureState)
     steered._store(state._stored, state._amps, state._squares, state._norm2, registry,
-                   state.photon_count, state.uses_polarization, (to, at), None, None)
+                   state.photon_count, state.uses_polarization, route, None)
     return steered
 
 

@@ -13,6 +13,8 @@ from wecp.state import (
     Polarization,
     PureState,
     ZeroState,
+    _columns,
+    _prune,
     fidelity,
     fresh_label,
     norm_squared,
@@ -355,7 +357,8 @@ def test_derivation_matches_public_constructor(case):
     # amplitude, wherever it sits
     parent, terms, modes = case
     reference = _state_or_error(lambda: PureState(dict(terms), modes=modes))
-    assert _state_or_error(lambda: PureState._derive(parent, dict(terms), modes)) == reference
+    assert _state_or_error(
+        lambda: _columns(parent, *_prune(dict(terms).items()), frozenset(modes))) == reference
 
 
 def test_constructor_hashes_each_ket_once(monkeypatch):
