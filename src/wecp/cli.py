@@ -34,7 +34,7 @@ from .protocols import (
     run_polarization_ecp,
     run_single_photon_ecp,
 )
-from .state import _left_sum
+from .state import _fsum
 
 MATCH_TOL = 1e-10
 FIDELITY_TOL = 1e-10
@@ -151,7 +151,7 @@ def _sample_coefficients(rng: random.Random, n: int) -> WCoefficients:
     # Dirichlet(1, ..., 1): n unit-rate exponential draws over their sum.
     while True:
         draws = [rng.expovariate(1.0) for _ in range(n)]
-        total = _left_sum(draws, 0.0)
+        total = _fsum(draws)
         c2 = tuple(x / total for x in draws)
         if min(c2) >= 1e-12:
             break

@@ -21,7 +21,7 @@ from itertools import takewhile
 from typing import Iterator, Sequence
 
 from .protocols import BadCoefficients, WCoefficients, analytic_total_probability
-from .state import _left_sum
+from .state import _fsum
 
 FIG_BETA = 1.0 / math.sqrt(3.0)
 ALPHA_LO = math.sqrt(1.0 / 3.0)
@@ -110,11 +110,11 @@ def prior_total_prob(p: PriorEcpParams) -> float:
     shrinks and ``prod`` only grows), so once a round is exactly 0.0 every
     later round is too, and each series stops there: the zero rounds would
     not change the sum, and skipping them bounds the cost for any cap. Each
-    series is summed left to right, by ``state._left_sum``.
+    series is one correctly rounded sum, by ``state._fsum``.
     """
     rounds1 = (prior_step1_prob(p, n) for n in range(1, p.iterations_step1 + 1))
     rounds2 = (prior_step2_prob(p, m) for m in range(1, p.iterations_step2 + 1))
-    return _left_sum(takewhile(bool, rounds1), 0.0) * _left_sum(takewhile(bool, rounds2), 0.0)
+    return _fsum(takewhile(bool, rounds1)) * _fsum(takewhile(bool, rounds2))
 
 
 def default_alpha_grid(points: int = DEFAULT_GRID_POINTS) -> Iterator[float]:

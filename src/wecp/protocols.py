@@ -26,7 +26,7 @@ from .state import (
     ModeLabel,
     Polarization,
     PureState,
-    _left_sum,
+    _fsum,
     fidelity,
     fresh_label,
 )
@@ -60,7 +60,7 @@ class WCoefficients:
             raise BadCoefficients("need at least two coefficients")
         if not all(map(cmath.isfinite, amps)):
             raise BadCoefficients(f"coefficients must be finite: {amps}")
-        total = _left_sum((abs(a) ** 2 for a in amps), 0.0)
+        total = _fsum(abs(a) ** 2 for a in amps)
         if abs(total - 1.0) > 1e-9:
             raise BadCoefficients(f"squared moduli sum to {total}, not 1")
         norm = math.sqrt(total)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
-from functools import reduce
-from operator import add, itemgetter
+from math import fsum
+from operator import itemgetter
 
 ModeLabel = str
 
@@ -42,14 +42,6 @@ class Polarization(Enum):
     # Members are singletons compared by identity, so the identity hash agrees
     # with equality and skips Enum's Python-level __hash__ on every Ket hash.
     __hash__ = object.__hash__
-
-
-_TAG_TEXT = {pol: pol.value for pol in Polarization}
-
-
-def _ket_key(ket: "Ket") -> tuple[tuple[str, str], ...]:
-    pol = ket._pol
-    return tuple([(m, _TAG_TEXT[pol[m]]) for m in sorted(pol)])
 
 
 class Ket:
@@ -137,14 +129,15 @@ def _ket_of(pol: dict[ModeLabel, Polarization]) -> Ket:
     return ket
 
 
-def _left_sum(values: Iterable, start):
-    """``start`` plus each of ``values``, left to right: every sum that feeds an
-    output (``_norm`` folds the same additions). The builtin ``sum`` is compensated
-    from Python 3.12 (floats) or 3.14 (complex), so its bits vary by version."""
-    total = start
-    for x in values:
-        total += x
-    return total
+def _fsum(values: Iterable[float]) -> float:
+    """Every sum that feeds an output: the correctly rounded sum of ``values``
+    (``math.fsum``), whose bits depend on neither their order nor the Python
+    version. A sum past the largest float is ``inf``, as float addition gives,
+    where ``math.fsum`` raises OverflowError."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return float("inf")
 
 
 def _prune(pairs: Iterable[tuple[Ket, complex]]) -> tuple[list, list, list]:
@@ -163,22 +156,23 @@ def _prune(pairs: Iterable[tuple[Ket, complex]]) -> tuple[list, list, list]:
 
 
 def _norm(squares: list[float]) -> float:
-    """The squared moduli summed left to right; ZeroState if there are none."""
+    """The correctly rounded sum of the squared moduli; ZeroState if there are none."""
     if not squares:
         raise ZeroState("state has no terms above the pruning threshold")
-    return reduce(add, squares, 0.0)
+    return _fsum(squares)
 
 
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
     Terms are three ordered columns, never written once built: the stored
-    kets, their amplitudes and each amplitude's squared modulus, whose left to
-    right sum is the squared norm. Only new amplitudes go through ``_prune``.
-    The constructor's are all new; it also checks each term's photon count,
-    convention and modes, which elements keep. A VBS or a detector copies its
-    input's columns in C and splices in or deletes only the terms it changes;
-    a PBS shares them. Copy and pickle go through the constructor.
+    kets, their amplitudes and each amplitude's squared modulus, whose
+    correctly rounded sum is the squared norm. Only new amplitudes go
+    through ``_prune``. The constructor's are all new; it also checks each
+    term's photon count, convention and modes, which elements keep. A VBS or
+    a detector copies its input's columns in C and splices in or deletes only
+    the terms it changes; a PBS shares them. Copy and pickle go through the
+    constructor.
 
     A route is one map: each mode a PBS made or consumed to the stored
     photons ``(label, tag)`` it holds (none, once consumed); any other mode
@@ -311,7 +305,8 @@ class PureState:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        ordered = sorted(zip(self._physical_kets(), self._amps), key=lambda kv: _ket_key(kv[0]))
+        ordered = sorted(zip(self._physical_kets(), self._amps),
+                         key=lambda kv: [(m, pol.value) for m, pol in kv[0].photons])
         parts = " + ".join(f"({amp:.6g}){ket}" for ket, amp in ordered)
         return f"PureState({parts})"
 
@@ -424,8 +419,10 @@ def norm_squared(state: PureState) -> float:
 def fidelity(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2 of the normalized versions of both states.
 
-    Exactly symmetric in its arguments: the overlap is accumulated in
-    canonical ket order and the norms enter as one commutative product.
+    Exactly symmetric in its arguments: swapping them conjugates each
+    product ``x.conjugate() * y`` exactly, the overlap's real and imaginary
+    parts are each one correctly rounded sum, which term order cannot change,
+    and the norms enter as one commutative product.
     States on disjoint kets give 0.0; that is a valid answer, not an error.
 
     Raises:
@@ -434,12 +431,9 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.uses_polarization != b.uses_polarization:
         raise IncompatibleStates("cannot overlap tagged and untagged states")
     tb = b._physical()
-    shared = sorted(
-        ((_ket_key(k), x, y) for k, x in zip(a._physical_kets(), a._amps)
-         if (y := tb.get(k)) is not None),
-        key=itemgetter(0),
-    )
-    overlap = _left_sum((x.conjugate() * y for _, x, y in shared), 0j)
+    products = [x.conjugate() * y for k, x in zip(a._physical_kets(), a._amps)
+                if (y := tb.get(k)) is not None]
+    overlap = complex(_fsum([p.real for p in products]), _fsum([p.imag for p in products]))
     f = abs(overlap) ** 2 / (norm_squared(a) * norm_squared(b))
     return min(max(f, 0.0), 1.0)
 

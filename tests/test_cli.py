@@ -377,6 +377,9 @@ def test_compare_single_point(capsys):
     (["verify", "--trials", "1", "--n-range", "x,2"], "ValueError"),
     (["verify", "--trials", "1", "--n-range", "2,8,9"], "ValueError"),
     (["compare", "--points", "0"], "DomainError"),
+    # finite squared moduli whose sum passes the largest float: inf, not 1
+    (["run", "--protocol", "single-photon", "--coeffs2", "1e308,1e308"], "BadCoefficients"),
+    (["verify", "--trials", "1", "--coeffs2", "1e308,1e308"], "BadCoefficients"),
 ])
 def test_rejected_argument_exit_2(capsys, argv, error):
     code, out, err = run_main(capsys, argv)

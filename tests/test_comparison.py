@@ -176,26 +176,23 @@ def test_capped_total_close_to_limit_on_grid():
         assert total == pytest.approx(3.0 * g2, abs=1e-3)
 
 
-def left_to_right_total(p):
-    # Every round up to the caps, each series summed left to right: the
-    # builtin sum is compensated from Python 3.12, so it is no reference.
-    s1 = s2 = 0.0
-    for n in range(1, p.iterations_step1 + 1):
-        s1 += prior_step1_prob(p, n)
-    for m in range(1, p.iterations_step2 + 1):
-        s2 += prior_step2_prob(p, m)
+def correctly_rounded_total(p):
+    # Every round up to the caps, zero rounds included, each series one
+    # math.fsum: correctly rounded, so its bits hold on every Python.
+    s1 = math.fsum(prior_step1_prob(p, n) for n in range(1, p.iterations_step1 + 1))
+    s2 = math.fsum(prior_step2_prob(p, m) for m in range(1, p.iterations_step2 + 1))
     return s1 * s2
 
 
 def test_total_equals_full_series_sum():
-    # On this grid a compensated sum differs from the left-to-right one in
-    # the last bits at thousands of points, so the total has the same bits
-    # on every Python only if it is summed left to right.
+    # On this grid a left-to-right sum differs from the correctly rounded one
+    # in the last bits at thousands of points, so the total has the same bits
+    # on every Python only if each series is summed correctly rounded.
     for alpha in default_alpha_grid(2000):
         g2 = 1.0 - alpha * alpha - THIRD
         for caps in ((1, 1), (3, 3), (5, 5), (25, 25), (40, 7)):
             p = params(alpha * alpha, THIRD, g2, caps=caps)
-            assert prior_total_prob(p) == left_to_right_total(p)
+            assert prior_total_prob(p) == correctly_rounded_total(p)
 
 
 def test_total_stops_at_first_zero_round(monkeypatch):

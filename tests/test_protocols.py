@@ -248,6 +248,9 @@ def test_single_photon_example_run():
     assert report.step_probs[1] == pytest.approx(6.0 / 7.0, abs=1e-12)
     assert report.total_prob == pytest.approx(0.6, abs=1e-12)
     assert report.fidelity_to_target >= 1.0 - 1e-10
+    # the README's numbers, to the last bit
+    assert report.step_probs == (0.7, 0.8571428571428572)
+    assert report.total_prob == 0.6 == analytic_total_probability(coeffs(*EXAMPLE))
 
 
 def test_single_photon_final_state_modes():
@@ -302,6 +305,7 @@ def test_polarization_example_run():
     report = run_polarization_ecp(coeffs(*EXAMPLE))
     assert report.total_prob == pytest.approx(0.6, abs=1e-12)
     assert report.fidelity_to_target >= 1.0 - 1e-10
+    assert report.total_prob == 0.6 == analytic_total_probability(coeffs(*EXAMPLE))
     occupied = {m for ket in report.final_state.terms for m in ket.modes}
     assert occupied == {"a6", "b6", "c1"}  # each stepped party ends merged
 

@@ -242,6 +242,10 @@ def test_infinite_amplitude_rejected():
     for inf in (math.inf, -math.inf, complex(0.0, math.inf)):
         with pytest.raises(ValueError):
             PureState({single("a1"): inf, single("b1"): 0.5})
+    # finite amplitudes whose squares sum past the largest float: the norm is
+    # inf, as float addition gives, not an OverflowError
+    with pytest.raises(ValueError):
+        PureState({single("a1"): 1e154, single("b1"): 1e154})
 
 
 TINY = 1e-9  # squared modulus 1e-18, below DEFAULT_PRUNE_EPS
@@ -400,8 +404,8 @@ def test_norm_squared_post_selected_branch():
 AMPLITUDES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
-@given(st.lists(AMPLITUDES, min_size=1, max_size=40))
-def test_norm_squared_is_sum_of_squared_moduli(amps):
+@given(st.lists(AMPLITUDES, min_size=1, max_size=40), st.permutations(range(40)))
+def test_norm_squared_is_sum_of_squared_moduli(amps, order):
     n = len(amps)
     terms = {single(f"m{i}"): a / math.sqrt(n) for i, a in enumerate(amps)}
     try:
@@ -410,6 +414,12 @@ def test_norm_squared_is_sum_of_squared_moduli(amps):
         return
     expected = sum(abs(a) ** 2 for a in s.terms.values())
     assert abs(norm_squared(s) - expected) <= 1e-15 * n
+    # the correctly rounded sum, so term order cannot set its bits
+    assert norm_squared(s) == math.fsum(a.real * a.real + a.imag * a.imag
+                                        for a in s.terms.values())
+    keys = list(terms)
+    permuted = PureState({keys[i]: terms[keys[i]] for i in order if i < n})
+    assert norm_squared(permuted) == norm_squared(s)
 
 
 # --- fidelity -----------------------------------------------------------
@@ -447,14 +457,18 @@ def test_fidelity_convention_mismatch():
 @given(
     st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
     st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+    st.permutations(range(5)),
 )
-def test_fidelity_symmetric(w1, w2):
+def test_fidelity_symmetric(w1, w2, order):
     n = min(len(w1), len(w2))
     n1 = math.sqrt(sum(w * w for w in w1[:n]))
     n2 = math.sqrt(sum(w * w for w in w2[:n]))
     s1 = PureState({single(f"m{i}"): w1[i] / n1 for i in range(n)})
     s2 = PureState({single(f"m{i}"): w2[i] / n2 for i in range(n)})
     assert fidelity(s1, s2) == fidelity(s2, s1)
+    # the same terms in another order give the same bits
+    permuted = PureState({single(f"m{i}"): w1[i] / n1 for i in order if i < n})
+    assert fidelity(permuted, s2) == fidelity(s1, s2)
 
 
 # --- fresh_label ---------------------------------------------------------
