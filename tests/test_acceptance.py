@@ -4,9 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Every tolerance and
 runtime budget is pinned here; nothing is deferred to later calibration.
 """
 import math
+import random
 import time
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wecp.optics import PbsWiring, VbsSetting, apply_pbs, apply_vbs, detect_vacuum
@@ -29,14 +29,16 @@ from wecp.comparison import (
 )
 from wecp.state import fidelity, norm_squared
 
+from conftest import sample_coeffs
+
 THIRD = 1.0 / 3.0
 
 
-def sample_coeffs(rng, n, floor=1e-6):
-    c2 = rng.dirichlet(np.ones(n))
-    while min(c2) < floor:
-        c2 = rng.dirichlet(np.ones(n))
-    return WCoefficients.from_squared(tuple(c2))
+def linspace(start, stop, n):
+    """``n`` evenly spaced points, computed as the usual linspace computes them:
+    start + i * step, then ``stop`` itself, so each point keeps its bits."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
 
 
 def best_of(fn, repeats=5):
@@ -64,13 +66,13 @@ def test_criterion_1_symbolic_three_party_instance():
 
 
 def test_criterion_2_general_n_law():
-    rng = np.random.default_rng(20260808)
+    rng = random.Random(20260808)
     start = time.perf_counter()
     worst_err = 0.0
     worst_fid = 1.0
     for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        c = sample_coeffs(rng, n)
+        n = rng.randrange(2, 9)
+        c = sample_coeffs(rng, n, floor=1e-6)
         analytic = analytic_total_probability(c)
         for driver in (run_single_photon_ecp, run_polarization_ecp):
             report = driver(c)
@@ -86,10 +88,10 @@ def test_criterion_2_general_n_law():
 
 
 def test_criterion_3_protocol_equivalence():
-    rng = np.random.default_rng(314159)
+    rng = random.Random(314159)
     for _ in range(200):
-        n = int(rng.integers(3, 6))
-        c = sample_coeffs(rng, n)
+        n = rng.randrange(3, 6)
+        c = sample_coeffs(rng, n, floor=1e-6)
         r1 = run_single_photon_ecp(c)
         r2 = run_polarization_ecp(c)
         assert len(r1.step_probs) == len(r2.step_probs)
@@ -126,30 +128,30 @@ def test_criterion_4_four_curve_comparison():
 
 
 def test_criterion_5_conservation_suite():
-    rng = np.random.default_rng(55555)
+    rng = random.Random(55555)
     detect_checks = 0
     for _ in range(500):
-        n = int(rng.integers(2, 6))
+        n = rng.randrange(2, 6)
         c = sample_coeffs(rng, n, floor=1e-3)
         labels = default_party_labels(n)
-        polarized = bool(rng.integers(0, 2))
+        polarized = bool(rng.randrange(2))
         state = (w_state_polarization if polarized else w_state_single_photon)(c, labels)
 
-        for hop in range(int(rng.integers(1, 4))):
-            party = int(rng.integers(0, n))
+        for hop in range(rng.randrange(1, 4)):
+            party = rng.randrange(n)
             taken = set(state.modes)
             occupied = sorted({m for ket in state.terms for m in ket.modes})
-            mode = occupied[int(rng.integers(0, len(occupied)))]
+            mode = occupied[rng.randrange(len(occupied))]
             before = norm_squared(state)
 
-            if polarized and rng.integers(0, 2):
+            if polarized and rng.randrange(2):
                 out_c = f"pbs{hop}c{party}"
                 out_d = f"pbs{hop}d{party}"
                 state = apply_pbs(state, PbsWiring(mode, None, out_c, out_d))
                 assert abs(norm_squared(state) - before) < 1e-12
                 continue
 
-            t = float(rng.uniform(0.05, 0.95))
+            t = rng.uniform(0.05, 0.95)
             out_t = f"vbs{hop}t{party}"
             out_r = f"vbs{hop}r{party}"
             assert out_t not in taken and out_r not in taken
@@ -169,8 +171,8 @@ def test_criterion_5_conservation_suite():
 
 
 def test_criterion_6_optimality_bound_sweep():
-    rng = np.random.default_rng(60606)
-    grid = np.linspace(0.01, 1.0, 100)
+    rng = random.Random(60606)
+    grid = linspace(0.01, 1.0, 100)
     start = time.perf_counter()
     for _ in range(20):
         c = sample_coeffs(rng, 3, floor=0.01)
@@ -186,11 +188,11 @@ def test_criterion_6_optimality_bound_sweep():
         target = target_w_state(c, final)
 
         for t1 in grid:
-            s1 = apply_vbs(state0, VbsSetting(labels[p_hi], "u1", "v1", float(t1)))
+            s1 = apply_vbs(state0, VbsSetting(labels[p_hi], "u1", "v1", t1))
             o1 = detect_vacuum(s1, "v1")
             for t2 in grid:
                 s2 = apply_vbs(o1.kept_state,
-                               VbsSetting(labels[p_mid], "u2", "v2", float(t2)))
+                               VbsSetting(labels[p_mid], "u2", "v2", t2))
                 o2 = detect_vacuum(s2, "v2")
                 if fidelity(o2.kept_state, target) > 1.0 - 1e-9:
                     prob = o1.probability * o2.probability
@@ -215,12 +217,12 @@ def test_optimality_bound_any_instance(seed):
     keep slightly more: a fidelity deficit e lets the kept probability exceed
     the bound by bound·sqrt(8e) to first order, and the check allows twice that.
     """
-    c = sample_coeffs(np.random.default_rng(seed), 3, floor=0.01)
+    c = sample_coeffs(random.Random(seed), 3, floor=0.01)
     m2 = c.moduli_squared
     p_hi, p_mid, p_lo = sorted(range(3), key=lambda i: (-m2[i], i))
     bound = 3.0 * m2[p_lo]
     t1_opt, t2_opt = m2[p_lo] / m2[p_hi], m2[p_lo] / m2[p_mid]
-    grid = [float(t) for t in np.linspace(0.01, 1.0, 40)]
+    grid = linspace(0.01, 1.0, 40)
 
     def with_optimum(t_opt):
         # the optimum and cells just off it, where fidelity is near 1 but not 1

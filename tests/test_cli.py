@@ -594,6 +594,28 @@ def test_cli_runs_on_the_standard_library_alone():
     assert result.returncode == 0, result.stderr
 
 
+NO_NUMPY_TESTS_SCRIPT = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+if "numpy" in sys.modules:
+    sys.exit("numpy imported")
+"""
+
+
+def test_test_modules_import_on_the_standard_library_alone():
+    # test_bench_hooks is the one exception: it loads bench/tracing.py, which
+    # imports numpy. A fresh interpreter run from tests/, as above, that keeps
+    # the caller's PYTHONPATH, where pytest and hypothesis may be found.
+    tests = Path(__file__).parent
+    modules = sorted(p.stem for p in tests.glob("test_*.py") if p.stem != "test_bench_hooks")
+    path = os.pathsep.join(filter(None, [_cli_env()["PYTHONPATH"], os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY_TESTS_SCRIPT, *modules],
+                            cwd=tests, env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 # --- one parser per process -----------------------------------------------------
 
 def test_consecutive_main_calls_reuse_one_parser(capsys):

@@ -1,8 +1,8 @@
 """Tests for the iterative-baseline closed forms and the four-curve sweep."""
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from wecp import comparison
@@ -17,6 +17,8 @@ from wecp.comparison import (
     prior_total_prob,
     sweep_point,
 )
+
+from conftest import sample_coeffs
 
 THIRD = 1.0 / 3.0
 EQUAL = (math.sqrt(THIRD),) * 3
@@ -89,9 +91,9 @@ def test_step_probs_equal_coefficients():
 
 
 def test_stable_form_matches_naive_oracle():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(100):
-        a2, b2, g2 = rng.dirichlet(np.ones(3))
+        a2, b2, g2 = sample_coeffs(rng, 3, floor=0.0).moduli_squared
         if min(a2, b2, g2) < 1e-3:
             continue
         p = params(a2, b2, g2)
@@ -112,9 +114,9 @@ def test_stable_form_survives_large_round_indices():
 
 
 def test_terms_positive_and_partial_sums_bounded():
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     for _ in range(50):
-        a2, b2, g2 = rng.dirichlet(np.ones(3))
+        a2, b2, g2 = sample_coeffs(rng, 3, floor=0.0).moduli_squared
         if min(a2, b2, g2) < 1e-3:
             continue
         p = params(a2, b2, g2)

@@ -2,8 +2,8 @@
 import copy
 import math
 import pickle
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,18 +28,13 @@ from wecp.state import (
     norm_squared,
 )
 
+from conftest import sample_coeffs
+
 EXAMPLE = (0.5, 0.3, 0.2)
 
 
 def coeffs(*moduli2, phases=None):
     return WCoefficients.from_squared(moduli2, phases)
-
-
-def random_coeffs(rng, n):
-    c2 = rng.dirichlet(np.ones(n))
-    while min(c2) < 1e-6:
-        c2 = rng.dirichlet(np.ones(n))
-    return WCoefficients.from_squared(tuple(c2))
 
 
 # --- WCoefficients -------------------------------------------------------
@@ -134,9 +129,9 @@ def _ket_photon_by_photon(labels, hot, polarization):
 def test_builders_match_kets_built_photon_by_photon():
     # Parties past the 26th carry two-letter labels. Each builder's kets, in
     # term order, equal the reference kets and hash equal to them.
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     for n in range(2, 41):
-        c = random_coeffs(rng, n)
+        c = sample_coeffs(rng, n, floor=1e-6)
         labels = default_party_labels(n)
         for polarization in (False, True):
             build = w_state_polarization if polarization else w_state_single_photon
@@ -196,18 +191,21 @@ def test_plan_against_grid_search_oracle():
     output (fidelity within 1e-6 of 1) must land in the feasibility
     neighborhood of the planner's point, at the planner's probability.
     """
-    m2 = np.array(EXAMPLE)
-    grid = np.arange(1e-3, 1.0 + 1e-9, 1e-3)
-    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
-    prob = m2[0] * t1 + m2[1] * t2 + m2[2]
-    amps = np.stack([np.sqrt(m2[0] * t1), np.sqrt(m2[1] * t2),
-                     np.full_like(t1, math.sqrt(m2[2]))])
-    fid = amps.sum(axis=0) ** 2 / (3.0 * prob)
-    feasible = fid > 1.0 - 1e-6
-    assert feasible.any()
-    best = prob[feasible].max()
-    i, j = np.unravel_index(np.where(feasible.ravel(), prob.ravel(), -1.0).argmax(),
-                            prob.shape)
+    m2 = EXAMPLE
+    grid = [1e-3 + i * 1e-3 for i in range(1000)]
+    # each axis's kept probability and amplitude, hoisted out of the 10^6 cells
+    rows = [(m2[0] * t, math.sqrt(m2[0] * t)) for t in grid]
+    cols = [(m2[1] * t, math.sqrt(m2[1] * t)) for t in grid]
+    a3 = math.sqrt(m2[2])
+    # the first feasible cell of largest probability, in row-major order
+    best, i, j = -1.0, None, None
+    for r, (p1, a1) in enumerate(rows):
+        for k, (p2, a2) in enumerate(cols):
+            prob = p1 + p2 + m2[2]
+            amp = a1 + a2 + a3
+            if amp * amp / (3.0 * prob) > 1.0 - 1e-6 and prob > best:
+                best, i, j = prob, r, k
+    assert i is not None
 
     analytic = analytic_total_probability(coeffs(*EXAMPLE))
     plan = run_single_photon_ecp(coeffs(*EXAMPLE))
@@ -268,9 +266,9 @@ def test_single_photon_equal_coefficients():
 
 
 def test_single_photon_five_parties():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(20):
-        c = random_coeffs(rng, 5)
+        c = sample_coeffs(rng, 5, floor=1e-6)
         report = run_single_photon_ecp(c)
         assert report.total_prob == pytest.approx(
             analytic_total_probability(c), abs=1e-10)
@@ -365,9 +363,9 @@ def test_protocol_equivalence_on_example():
 
 
 def test_step_probabilities_factor_total():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(25):
-        c = random_coeffs(rng, int(rng.integers(2, 7)))
+        c = sample_coeffs(rng, rng.randrange(2, 7), floor=1e-6)
         report = run_single_photon_ecp(c)
         assert report.total_prob == pytest.approx(
             math.prod(report.step_probs), abs=1e-12)
@@ -376,12 +374,12 @@ def test_step_probabilities_factor_total():
 def test_three_party_step_factors_match_closed_forms():
     # for sorted moduli alpha > beta > gamma the two kept probabilities are
     # 2*gamma^2 + beta^2 and 3*gamma^2 / (2*gamma^2 + beta^2)
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(50):
-        m2 = np.sort(rng.dirichlet(np.ones(3)))[::-1]
+        m2 = sorted(sample_coeffs(rng, 3, floor=0.0).moduli_squared, reverse=True)
         if m2[2] < 1e-3 or m2[0] - m2[1] < 1e-3 or m2[1] - m2[2] < 1e-3:
             continue
-        a2, b2, g2 = (float(x) for x in m2)
+        a2, b2, g2 = m2
         report = run_single_photon_ecp(coeffs(a2, b2, g2))
         p1 = 2 * g2 + b2
         assert report.step_probs[0] == pytest.approx(p1, abs=1e-12)
@@ -601,10 +599,10 @@ def test_exact_optimality_bound_at_any_n(case):
 
 
 def test_oracle_equivalence_batch():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(100):
-        n = int(rng.integers(2, 9))
-        c = random_coeffs(rng, n)
+        n = rng.randrange(2, 9)
+        c = sample_coeffs(rng, n, floor=1e-6)
         analytic = analytic_total_probability(c)
         for driver in (run_single_photon_ecp, run_polarization_ecp):
             report = driver(c)
