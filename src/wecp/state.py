@@ -44,6 +44,10 @@ class Polarization(Enum):
     __hash__ = object.__hash__
 
 
+# An enum member read costs over ten global reads; the convention is read per PBS and fidelity.
+_NONE = Polarization.NONE
+
+
 class Ket:
     """Photon pattern: which modes hold a photon, and each photon's tag.
 
@@ -169,7 +173,8 @@ class PureState:
     kets, their amplitudes and each amplitude's squared modulus, whose
     correctly rounded sum is the squared norm. Only new amplitudes go
     through ``_prune``. The constructor's are all new; it also checks each
-    term's photon count, convention and modes, which elements keep. A VBS or
+    term's photon count, convention and modes, which elements keep, so both
+    are read from the first stored ket and stored nowhere else. A VBS or
     a detector copies its input's columns in C and splices in or deletes only
     the terms it changes; a PBS shares them. Copy and pickle go through the
     constructor.
@@ -182,8 +187,9 @@ class PureState:
     detector hands it on, and a VBS stores the photons it splits under its
     output labels. The physical kets are the stored kets until a PBS acts;
     after that they are built from the route where read (``terms``, ``==``,
-    ``repr``, ``fidelity``, copy, pickle). The physical ket->amplitude map is
-    built once per state; ``len`` builds nothing.
+    ``repr``, ``fidelity``, copy, pickle). Every state's physical
+    ket->amplitude map is built on its first read and kept; ``len`` builds
+    nothing.
 
     Args:
         terms: mapping from Ket to complex amplitude. Terms with squared
@@ -202,13 +208,11 @@ class PureState:
             ``modes``.
     """
 
-    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_terms",
-                 "modes", "photon_count", "uses_polarization")
+    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_terms", "modes")
 
     def __init__(self, terms: Mapping[Ket, complex],
                  modes: Iterable[ModeLabel] | None = None) -> None:
-        own = {ket: complex(amp) for ket, amp in terms.items()}
-        kets, amps, squares = _prune(own.items())
+        kets, amps, squares = _prune(zip(terms, map(complex, terms.values())))
         n2 = _norm(squares)
         pols = [ket._pol for ket in kets]
         counts = set(map(len, pols))
@@ -217,22 +221,31 @@ class PureState:
         registry = occupied if modes is None else frozenset(modes)
         if len(counts) > 1:
             raise IncompatibleStates(f"photon count differs across kets: {sorted(counts)}")
-        if Polarization.NONE in tags and len(tags) > 1:
+        if _NONE in tags and len(tags) > 1:
             raise IncompatibleStates("kets mix tagged and untagged photons")
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
-        self._store(kets, amps, squares, n2, registry, counts.pop(),
-                    Polarization.NONE not in tags, {},
-                    own if len(kets) == len(own) else None)
+        self._store(kets, amps, squares, n2, registry, {})
+
+    @property
+    def photon_count(self) -> int:
+        """Photons in each ket, read from the first; the constructor checks they agree."""
+        return len(self._stored[0]._pol)
+
+    @property
+    def uses_polarization(self) -> bool:
+        """Whether the photons carry H/V tags, read from the first photon; the
+        constructor lets no state mix conventions. A ket of no photons holds
+        no untagged one, so it reads as tagged."""
+        return next(iter(self._stored[0]._pol.values()), None) is not _NONE
 
     def _holders(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, Polarization], ...]:
-        """The stored (label, tag) photons in ``mode``, whether a term holds them or not."""
+        """The stored (label, tag) photons in ``mode``, whether a term holds them
+        or not. Only a PBS asks, and only of a polarization state."""
         placed = self._route.get(mode)
         if placed is not None:
             return placed
-        if self.uses_polarization:
-            return (mode, Polarization.H), (mode, Polarization.V)
-        return ((mode, Polarization.NONE),)
+        return (mode, Polarization.H), (mode, Polarization.V)
 
     def _holding(self, mode: ModeLabel) -> list[tuple[int, ModeLabel]]:
         """(position, stored label) of each photon in ``mode``, in term order:
@@ -267,9 +280,8 @@ class PureState:
         return terms
 
     def _store(self, stored: list[Ket], amps: list[complex], squares: list[float], n2: float,
-               registry: frozenset[ModeLabel], count: int, hv_used: bool,
-               route: dict, terms: dict | None) -> None:
-        """Cap the squared norm at 1 and set the slots (``terms`` None: build on read)."""
+               registry: frozenset[ModeLabel], route: dict) -> None:
+        """Cap the squared norm at 1 and set the slots; ``_physical`` builds the map."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
         _put_stored(self, stored)
@@ -277,10 +289,8 @@ class PureState:
         _put_squares(self, squares)
         _put_norm2(self, n2)
         _put_route(self, route)
-        _put_terms(self, terms)
+        _put_terms(self, None)
         _put_modes(self, registry)
-        _put_count(self, count)
-        _put_hv(self, hv_used)
 
     def __reduce__(self):
         # copy and pickle rebuild through the validating constructor
@@ -314,21 +324,18 @@ class PureState:
 # Slots are written past the guards by their descriptors: half object.__setattr__'s cost.
 _put_pol, _put_hash = Ket._pol.__set__, Ket._hash.__set__
 (_put_stored, _put_amps, _put_squares, _put_norm2, _put_route, _put_terms,
- _put_modes, _put_count, _put_hv) = [getattr(PureState, slot).__set__ for slot in (
-    "_stored", "_amps", "_squares", "_norm2", "_route", "_terms",
-    "modes", "photon_count", "uses_polarization")]
+ _put_modes) = [getattr(PureState, slot).__set__ for slot in PureState.__slots__]
 
 
 def _columns(parent: PureState, stored: list[Ket], amps: list[complex],
              squares: list[float], registry: frozenset[ModeLabel]) -> PureState:
-    """A VBS's or a detector's output: checked columns with the photon count,
-    convention and route of ``parent``. Precondition (the port rule and
-    ``_split`` keep it): each ket is the parent's or moved by ``Ket.move`` to
-    a label no stored photon or route names, no two are equal, and
-    ``registry`` holds their modes."""
+    """A VBS's or a detector's output: checked columns with the route of
+    ``parent``; the photon count and convention come with the kets.
+    Precondition (the port rule and ``_split`` keep it): each ket is the
+    parent's or moved by ``Ket.move`` to a label no stored photon or route
+    names, no two are equal, and ``registry`` holds their modes."""
     state = object.__new__(PureState)
-    state._store(stored, amps, squares, _norm(squares), registry, parent.photon_count,
-                 parent.uses_polarization, parent._route, None)
+    state._store(stored, amps, squares, _norm(squares), registry, parent._route)
     return state
 
 
@@ -370,8 +377,7 @@ def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, Mod
     for photon, dst in moves:
         route[dst] += (photon,)
     steered = object.__new__(PureState)
-    steered._store(state._stored, state._amps, state._squares, state._norm2, registry,
-                   state.photon_count, state.uses_polarization, route, None)
+    steered._store(state._stored, state._amps, state._squares, state._norm2, registry, route)
     return steered
 
 

@@ -203,6 +203,17 @@ def test_counting_routed_terms_builds_no_ket(partial_pol_w3):
         out.terms[pol_ket(("a2", H), ("b1", V), ("c1", V))] = 1.0
 
 
+def test_repr_of_a_routed_state_names_the_physical_kets(partial_pol_w3):
+    # H of a1 goes to a3 and V to a2, so sorting by the physical modes puts the
+    # first stored term last; the terms view keeps term order
+    out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a3", "a2"))
+    assert repr(out) == ("PureState((0.547723+0j)|V@a2 H@b1 V@c1> + "
+                         "(0.447214+0j)|V@a2 V@b1 H@c1> + (0.707107+0j)|H@a3 V@b1 V@c1>)")
+    assert repr(out.terms) == ("_Terms({|H@a3 V@b1 V@c1>: (0.7071067811865476+0j), "
+                               "|V@a2 H@b1 V@c1>: (0.5477225575051661+0j), "
+                               "|V@a2 V@b1 H@c1>: (0.4472135954999579+0j)})")
+
+
 def test_elements_hash_no_ket(monkeypatch):
     # A VBS or a detector copies its input's columns and splices only the
     # terms it changes, and a PBS shares them, so no element hashes a ket.

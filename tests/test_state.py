@@ -225,6 +225,19 @@ def test_state_is_immutable():
         s.terms[single("a1")] = 1.0
 
 
+def test_a_state_of_no_photons_reads_zero_and_tagged():
+    # no kept photon is untagged, so the convention reads as polarization
+    s = PureState({Ket(()): 1.0})
+    assert s.photon_count == 0
+    assert s.uses_polarization is True
+
+
+def test_comparing_with_another_type_is_unequal():
+    ket, state = single("a1"), w3(INV_SQRT3, INV_SQRT3, INV_SQRT3)
+    assert ket != ket.photons and not ket == ket.photons
+    assert state != dict(state.terms) and not state == dict(state.terms)
+
+
 def test_nan_amplitude_is_rejected_not_pruned():
     for nan in (math.nan, complex(0.0, math.nan)):
         with pytest.raises(ValueError) as info:
@@ -378,8 +391,8 @@ def test_constructor_hashes_each_ket_once(monkeypatch):
 
     monkeypatch.setattr(Ket, "__hash__", counting)
     state = PureState(terms)
-    assert len(calls) == len(terms)
     assert list(state.terms) == list(terms)
+    assert len(calls) == len(terms)
 
 
 # --- norm_squared -------------------------------------------------------
