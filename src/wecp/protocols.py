@@ -26,12 +26,14 @@ from .state import (
     ModeLabel,
     Polarization,
     PureState,
+    _columns,
     _fsum,
+    _ket_of,
+    _prune,
     fidelity,
     fresh_label,
 )
 
-_TIE_EPS = 1e-12
 # Each stepped party's kept amplitude is rebuilt as |a_i| sqrt(t_i), a few ulps
 # off |a_min|, so a weight just above the pruning threshold could be pruned mid-run.
 _MIN_WEIGHT = DEFAULT_PRUNE_EPS * (1.0 + 1e-12)
@@ -170,15 +172,12 @@ def w_state_single_photon(
 def w_state_polarization(
     c: WCoefficients, labels: Sequence[ModeLabel] | None = None
 ) -> PureState:
-    """N photons, one per party mode; ket i carries H on party i and V elsewhere."""
+    """N photons, one per party mode; ket i carries H on party i and V elsewhere,
+    stored in O(N) as its difference, H on party i, from all V."""
     labels = _checked_labels(c, labels)
-    all_v = [(label, Polarization.V) for label in labels]
-    terms = {}
-    for i, a in enumerate(c.amps):
-        photons = all_v.copy()
-        photons[i] = (labels[i], Polarization.H)
-        terms[Ket(photons)] = a
-    return PureState(terms, modes=labels)
+    diffs = [_ket_of({label: Polarization.H}) for label in labels]
+    return _columns(dict.fromkeys(labels, Polarization.V),
+                    *_prune(zip(diffs, map(complex, c.amps))), frozenset(labels))
 
 
 def target_w_state(
@@ -219,7 +218,7 @@ def _schedule(
     order = sorted(range(c.n), key=lambda i: (-m2[i], i))
     if transmittances is None:
         mn = min(m2)
-        return [(i, mn / m2[i]) for i in order if mn / m2[i] < 1.0 - _TIE_EPS]
+        return [(i, mn / m2[i]) for i in order if mn / m2[i] < 1.0]
     unknown = [k for k in transmittances if k not in range(c.n)]
     if unknown:
         raise ValueError(f"transmittance overrides name no party in range({c.n}): {unknown}")

@@ -11,8 +11,10 @@ renormalizes implicitly, so branch probabilities stay auditable step by step.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
+from itertools import chain
 from math import fsum
 from operator import itemgetter
 
@@ -169,26 +171,25 @@ def _norm(squares: list[float]) -> float:
 class PureState:
     """Immutable sparse superposition of single-occupancy kets.
 
-    Terms are three ordered columns, never written once built: the stored
-    kets, their amplitudes and each amplitude's squared modulus, whose
-    correctly rounded sum is the squared norm. Only new amplitudes go
-    through ``_prune``. The constructor's are all new; it also checks each
-    term's photon count, convention and modes, which elements keep, so both
-    are read from the first stored ket and stored nowhere else. A VBS or
-    a detector copies its input's columns in C and splices in or deletes only
-    the terms it changes; a PBS shares them. Copy and pickle go through the
-    constructor.
+    A state holds one reference configuration, a mode->tag map, and three
+    term columns in order, never written once built: each term's difference
+    from the reference, its amplitude, and the amplitude's squared modulus,
+    whose correctly rounded sum is the squared norm. A difference is a ket of
+    the modes where its term departs from the reference: the term's photon,
+    or None where it lacks the reference's. It never repeats the reference,
+    so equal terms have equal differences. The constructor's reference holds
+    each mode's tag held by more than half of the kets: all V for the
+    polarization W state, and the vacuum for the single-photon one, whose
+    differences are its kets. The reference sets the cost, never an output.
 
-    A route is one map: each mode a PBS made or consumed to the stored
-    photons ``(label, tag)`` it holds (none, once consumed); any other mode
-    holds the photons stored under its label. A PBS empties every input it
-    consumes, so each stored photon sits in at most one entry. The route is
-    empty from the constructor; a PBS extends a copy in O(ports), a VBS or a
-    detector hands it on, and a VBS stores the photons it splits under its
-    output labels. The physical kets are the stored kets until a PBS acts;
-    after that they are built from the route where read (``terms``, ``==``,
-    ``repr``, ``fidelity``, copy, pickle). Every state's physical
-    ket->amplitude map is built on its first read and kept; ``len`` builds
+    Only new amplitudes go through ``_prune``; the constructor's are all new,
+    and it checks each term's photon count, convention and modes, which
+    elements keep. A VBS or a detector copies its input's columns in C and
+    splices in or deletes only the terms whose difference names its mode; a
+    PBS moves the reference's photons on its ports and rewrites only the
+    differences that name a port. Physical kets are built where read
+    (``terms``, ``==``, ``repr``, copy and pickle through the constructor,
+    ``fidelity`` across references), each state's map once; ``len`` builds
     nothing.
 
     Args:
@@ -208,7 +209,7 @@ class PureState:
             ``modes``.
     """
 
-    __slots__ = ("_stored", "_amps", "_squares", "_norm2", "_route", "_terms", "modes")
+    __slots__ = ("_ref", "_diffs", "_amps", "_squares", "_norm2", "_keyed", "_terms", "modes")
 
     def __init__(self, terms: Mapping[Ket, complex],
                  modes: Iterable[ModeLabel] | None = None) -> None:
@@ -225,70 +226,72 @@ class PureState:
             raise IncompatibleStates("kets mix tagged and untagged photons")
         if not occupied <= registry:
             raise ValueError(f"terms occupy unregistered modes: {set(occupied - registry)}")
-        self._store(kets, amps, squares, n2, registry, {})
+        ref = {}  # unless one ket or two share a mode, no tag holds a majority
+        if len(pols) == 1 or len(occupied) < len(pols) * len(pols[0]):
+            held = Counter(chain.from_iterable(map(dict.items, pols)))
+            ref = {mode: tag for (mode, tag), n in held.items() if 2 * n > len(pols)}
+        diffs = [_difference(ref, pol) for pol in pols] if ref else kets
+        self._store(ref, diffs, amps, squares, n2, registry)
 
     @property
     def photon_count(self) -> int:
-        """Photons in each ket, read from the first; the constructor checks they agree."""
-        return len(self._stored[0]._pol)
+        """Photons in each term, read from the first; the constructor checks they agree."""
+        diff = self._diffs[0]._pol
+        return len(self._ref.keys() | diff.keys()) - list(diff.values()).count(None)
 
     @property
     def uses_polarization(self) -> bool:
-        """Whether the photons carry H/V tags, read from the first photon; the
-        constructor lets no state mix conventions. A ket of no photons holds
-        no untagged one, so it reads as tagged."""
-        return next(iter(self._stored[0]._pol.values()), None) is not _NONE
-
-    def _holders(self, mode: ModeLabel) -> tuple[tuple[ModeLabel, Polarization], ...]:
-        """The stored (label, tag) photons in ``mode``, whether a term holds them
-        or not. Only a PBS asks, and only of a polarization state."""
-        placed = self._route.get(mode)
-        if placed is not None:
-            return placed
-        return (mode, Polarization.H), (mode, Polarization.V)
-
-    def _holding(self, mode: ModeLabel) -> list[tuple[int, ModeLabel]]:
-        """(position, stored label) of each photon in ``mode``, in term order:
-        the VBS's, detector's and PBS's one scan. A ket holds one at most."""
-        placed = self._route.get(mode)
-        if placed is None:
-            return [(i, mode) for i, ket in enumerate(self._stored) if mode in ket._pol]
-        return sorted([(i, label) for label, tag in placed
-                       for i, ket in enumerate(self._stored) if ket._pol.get(label) is tag])
+        """Whether the photons carry H/V tags, read from the first difference's
+        or else the reference's first photon; no state mixes conventions. A
+        ket of no photons holds no untagged one, so it reads as tagged."""
+        for tag in self._diffs[0]._pol.values():
+            if tag is not None:
+                return tag is not _NONE
+        return next(iter(self._ref.values()), None) is not _NONE
 
     def _physical_kets(self) -> list[Ket]:
-        """The kets over the modes their photons occupy: the stored kets until
-        a PBS acts, else built here through the route's inverse."""
-        if not self._route:
-            return self._stored
-        where = {photon: mode for mode, photons in self._route.items() for photon in photons}.get
+        """Each term's ket: its difference itself under a vacuum reference."""
+        ref = self._ref
+        if not ref:
+            return self._diffs
         kets = []
-        for ket in self._stored:
-            pol = ket._pol
-            moved = dict(zip(map(where, pol.items(), pol), pol.values()))
-            if len(moved) != len(pol):
-                raise ModeCollision(f"the route puts two photons of {ket} in one mode")
-            kets.append(_ket_of(moved))
+        for diff in self._diffs:
+            pol = {**ref, **diff._pol}
+            for mode, tag in diff._pol.items():
+                if tag is None:
+                    del pol[mode]
+            kets.append(_ket_of(pol))
         return kets
+
+    def _by_difference(self) -> dict[Ket, complex]:
+        """The difference->amplitude map, in term order, built on first read."""
+        keyed = self._keyed
+        if keyed is None:
+            keyed = dict(zip(self._diffs, self._amps))
+            _put_keyed(self, keyed)
+        return keyed
 
     def _physical(self) -> dict[Ket, complex]:
         """The physical ket->amplitude map, in term order, built on first read."""
+        if not self._ref:
+            return self._by_difference()
         terms = self._terms
         if terms is None:
             terms = dict(zip(self._physical_kets(), self._amps))
             _put_terms(self, terms)
         return terms
 
-    def _store(self, stored: list[Ket], amps: list[complex], squares: list[float], n2: float,
-               registry: frozenset[ModeLabel], route: dict) -> None:
-        """Cap the squared norm at 1 and set the slots; ``_physical`` builds the map."""
+    def _store(self, ref: dict[ModeLabel, Polarization], diffs: list[Ket], amps: list[complex],
+               squares: list[float], n2: float, registry: frozenset[ModeLabel]) -> None:
+        """Cap the squared norm at 1 and set the slots; the maps are built on first read."""
         if n2 > _NORM_SQ_CAP:
             raise ValueError(f"squared norm {n2} exceeds 1")
-        _put_stored(self, stored)
+        _put_ref(self, ref)
+        _put_diffs(self, diffs)
         _put_amps(self, amps)
         _put_squares(self, squares)
         _put_norm2(self, n2)
-        _put_route(self, route)
+        _put_keyed(self, None)
         _put_terms(self, None)
         _put_modes(self, registry)
 
@@ -323,78 +326,111 @@ class PureState:
 
 # Slots are written past the guards by their descriptors: half object.__setattr__'s cost.
 _put_pol, _put_hash = Ket._pol.__set__, Ket._hash.__set__
-(_put_stored, _put_amps, _put_squares, _put_norm2, _put_route, _put_terms,
+(_put_ref, _put_diffs, _put_amps, _put_squares, _put_norm2, _put_keyed, _put_terms,
  _put_modes) = [getattr(PureState, slot).__set__ for slot in PureState.__slots__]
 
 
-def _columns(parent: PureState, stored: list[Ket], amps: list[complex],
-             squares: list[float], registry: frozenset[ModeLabel]) -> PureState:
-    """A VBS's or a detector's output: checked columns with the route of
-    ``parent``; the photon count and convention come with the kets.
-    Precondition (the port rule and ``_split`` keep it): each ket is the
-    parent's or moved by ``Ket.move`` to a label no stored photon or route
-    names, no two are equal, and ``registry`` holds their modes."""
+def _difference(ref: Mapping[ModeLabel, Polarization], pol: dict) -> Ket:
+    """The canonical difference of the photons ``pol`` from ``ref``: each
+    photon that ``ref`` lacks or tags otherwise, and None at each mode where
+    ``ref`` holds a photon and ``pol`` none."""
+    diff = {mode: tag for mode, tag in pol.items() if ref.get(mode) is not tag}
+    diff.update(dict.fromkeys(ref.keys() - pol.keys()))
+    return _ket_of(diff)
+
+
+def _columns(ref: dict[ModeLabel, Polarization], diffs: list[Ket], amps: list[complex],
+             squares: list[float], registry: frozenset[ModeLabel], n2: float | None = None
+             ) -> PureState:
+    """An element's or a builder's output over the reference ``ref``, its squared
+    norm summed unless given. Precondition (the port rule and ``_unref`` keep
+    it): each difference is canonical, no two are equal, and ``registry``
+    holds their terms' modes."""
     state = object.__new__(PureState)
-    state._store(stored, amps, squares, _norm(squares), registry, parent._route)
+    state._store(ref, diffs, amps, squares, _norm(squares) if n2 is None else n2, registry)
     return state
+
+
+def _unref(state: PureState, modes: Iterable[ModeLabel]) -> PureState:
+    """``state`` with the reference's photons in ``modes`` moved into every
+    difference: an element's path where it cannot move them itself."""
+    ref = state._ref.copy()
+    dropped = {mode: ref.pop(mode) for mode in modes if mode in ref}
+    diffs = [_ket_of({mode: tag for mode, tag in {**dropped, **diff._pol}.items()
+                      if tag is not None or mode not in dropped}) for diff in state._diffs]
+    return _columns(ref, diffs, state._amps, state._squares, state.modes, state._norm2)
+
+
+def _holding(state: PureState, mode: ModeLabel) -> tuple[PureState, list[int]]:
+    """``state``, its reference holding no photon in ``mode``, and the positions
+    of the terms that do, in term order: the scan of a VBS and of a detector."""
+    if mode in state._ref:
+        state = _unref(state, (mode,))
+    return state, [i for i, diff in enumerate(state._diffs) if mode in diff._pol]
 
 
 def _split(state: PureState, mode: ModeLabel, outs: tuple[ModeLabel, ModeLabel],
            factors: tuple[float, float], registry: frozenset[ModeLabel]) -> PureState:
     """A VBS's output: each term with a photon in ``mode`` becomes two in its
     slot, the photon under each label of ``outs``, scaled by each factor."""
-    if not state._route.keys().isdisjoint(outs):
-        # the route names an output label (every mode a PBS made or consumed,
-        # so every label of a photon it moved): store the physical kets anew
-        state = PureState(state._physical(), state.modes)
+    state, hits = _holding(state, mode)
     (out_t, out_r), (amp_t, amp_r) = outs, factors
-    stored, amps, squares = list(state._stored), list(state._amps), list(state._squares)
-    for i, label in reversed(state._holding(mode)):
-        ket, amp = stored[i], amps[i]
-        stored[i:i + 1], amps[i:i + 1], squares[i:i + 1] = _prune(
-            ((ket.move(label, out_t), amp * amp_t), (ket.move(label, out_r), amp * amp_r)))
-    return _columns(state, stored, amps, squares, registry)
+    diffs, amps, squares = list(state._diffs), list(state._amps), list(state._squares)
+    for i in reversed(hits):
+        diff, amp = diffs[i], amps[i]
+        diffs[i:i + 1], amps[i:i + 1], squares[i:i + 1] = _prune(
+            ((diff.move(mode, out_t), amp * amp_t), (diff.move(mode, out_r), amp * amp_r)))
+    return _columns(state._ref, diffs, amps, squares, registry)
 
 
 def _steer(state: PureState, ports: Mapping[ModeLabel, Mapping[Polarization, ModeLabel]],
            registry: frozenset[ModeLabel]) -> PureState:
-    """A PBS's output: the same columns and norm, and a route sending each
-    photon in an input of ``ports`` to the output named for its tag. With two
-    inputs, one scan finds a ModeCollision: two photons sharing an output."""
-    moves = [(photon, out[photon[1]]) for src, out in ports.items()
-             for photon in state._holders(src)]
-    if len(ports) == 2:
-        a, b = ports
-        for i, _ in state._holding(a):
-            photons = state._stored[i]._pol.items()
-            dsts = [dst for photon, dst in moves if photon in photons]
-            if len(set(dsts)) < len(dsts):
-                raise ModeCollision(f"photons in {a!r} and {b!r} would share an output")
-    route = state._route.copy()
+    """A PBS's output: the reference's photons in the inputs of ``ports`` move
+    to the output named for their tag, and the differences that name an input
+    are rewritten. Two photons of one term sharing an output: ModeCollision."""
+    ref = state._ref
+    moved = ref.copy()
     for src, out in ports.items():
-        route[src] = ()
-        route.update(dict.fromkeys(out.values(), ()))
-    for photon, dst in moves:
-        route[dst] += (photon,)
-    steered = object.__new__(PureState)
-    steered._store(state._stored, state._amps, state._squares, state._norm2, registry, route)
-    return steered
+        tag = moved.pop(src, None)
+        if tag is not None:
+            if out[tag] in moved:
+                # the reference's two photons would share an output, but no
+                # term need hold both: check each term's own photons
+                return _steer(_unref(state, ports), ports, registry)
+            moved[out[tag]] = tag
+    outputs = next(iter(ports.values())).values()
+    diffs = list(state._diffs)
+    for i in {i for src in ports for i, diff in enumerate(state._diffs) if src in diff._pol}:
+        pol = diffs[i]._pol.copy()
+        placed = {}
+        for src, out in ports.items():
+            tag = pol.pop(src) if src in pol else ref.get(src)
+            if tag is not None:
+                if out[tag] in placed:
+                    raise ModeCollision(f"photons in {' and '.join(map(repr, ports))} "
+                                        "would share an output")
+                placed[out[tag]] = tag
+        for dst in outputs:
+            if placed.get(dst) is not moved.get(dst):
+                pol[dst] = placed.get(dst)
+        diffs[i] = _ket_of(pol)
+    return _columns(moved, diffs, state._amps, state._squares, registry, state._norm2)
 
 
 def _dark(state: PureState, mode: ModeLabel) -> PureState:
     """A vacuum detector's kept state: the terms with no photon in ``mode``."""
-    hits = state._holding(mode)
-    if len(hits) == len(state._stored):
+    state, hits = _holding(state, mode)
+    if len(hits) == len(state._diffs):
         raise ZeroState(f"vacuum branch at {mode!r} is empty")
-    stored, amps, squares = list(state._stored), list(state._amps), list(state._squares)
-    for i, _ in reversed(hits):
-        del stored[i], amps[i], squares[i]
-    return _columns(state, stored, amps, squares, state.modes)
+    diffs, amps, squares = list(state._diffs), list(state._amps), list(state._squares)
+    for i in reversed(hits):
+        del diffs[i], amps[i], squares[i]
+    return _columns(state._ref, diffs, amps, squares, state.modes)
 
 
 class _Terms(Mapping):
-    """Read-only view of the physical terms (``PureState._physical``); as a
-    route only renames photons, ``len`` counts stored terms, building none."""
+    """Read-only view of the physical terms (``PureState._physical``); ``len``
+    counts the differences, building no ket."""
 
     __slots__ = ("_state",)
 
@@ -402,7 +438,7 @@ class _Terms(Mapping):
         self._state = state
 
     def __len__(self) -> int:
-        return len(self._state._stored)
+        return len(self._state._diffs)
 
     def __getitem__(self, ket: Ket) -> complex:
         return self._state._physical()[ket]
@@ -436,9 +472,12 @@ def fidelity(a: PureState, b: PureState) -> float:
     """
     if a.uses_polarization != b.uses_polarization:
         raise IncompatibleStates("cannot overlap tagged and untagged states")
-    tb = b._physical()
-    products = [x.conjugate() * y for k, x in zip(a._physical_kets(), a._amps)
-                if (y := tb.get(k)) is not None]
+    if a._ref == b._ref:
+        # one reference: equal terms have equal canonical differences
+        pairs, tb = zip(a._diffs, a._amps), b._by_difference()
+    else:
+        pairs, tb = zip(a._physical_kets(), a._amps), b._physical()
+    products = [x.conjugate() * y for k, x in pairs if (y := tb.get(k)) is not None]
     overlap = complex(_fsum([p.real for p in products]), _fsum([p.imag for p in products]))
     f = abs(overlap) ** 2 / (norm_squared(a) * norm_squared(b))
     return min(max(f, 0.0), 1.0)

@@ -18,3 +18,10 @@ def sample_coeffs(rng, n, floor):
         c = _sample_coefficients(rng, n)
         if min(c.moduli_squared) >= floor:
             return c
+
+
+def canonical(state):
+    """No difference repeats the reference: each entry is a photon that the
+    reference lacks or tags otherwise, or None where the reference holds one."""
+    return all(state._ref.get(mode) is not tag
+               for diff in state._diffs for mode, tag in diff._pol.items())

@@ -442,6 +442,17 @@ def test_verify_wide_golden_bytes(capsys):
     assert out.encode() == (DATA / "verify_wide.json").read_bytes()
 
 
+@pytest.mark.parametrize("fixture, argv", [
+    ("verify_small.json", ["--trials", "1000", "--n-range", "2,8", "--seed", "42"]),
+    ("verify_mid.json", ["--trials", "300", "--n-range", "20,32", "--seed", "7"]),
+])
+def test_verify_golden_bytes(capsys, fixture, argv):
+    # the README's default batch, and a mid-width batch of both circuits
+    code, out, _ = run_main(capsys, ["verify", *argv])
+    assert code == 0
+    assert out.encode() == (DATA / fixture).read_bytes()
+
+
 def test_verify_small_batch(capsys):
     code, out, _ = run_main(capsys, [
         "verify", "--trials", "25", "--n-range", "2,5", "--seed", "42"])

@@ -24,6 +24,8 @@ from wecp.state import (
     norm_squared,
 )
 
+from conftest import canonical
+
 H = Polarization.H
 V = Polarization.V
 NONE = Polarization.NONE
@@ -171,8 +173,9 @@ def test_pbs_merges_two_paths():
 
 
 def test_elements_after_a_pbs_find_its_photons(partial_pol_w3):
-    # the split PBS moves no ket itself; the VBS and the detector behind it
-    # must still find the H photon on a2 and the V photons on a3
+    # the split PBS moves the reference's V photon of a1 to a3 and rewrites
+    # only the first term; the VBS and the detector behind it must still find
+    # the H photon on a2 and the V photons on a3
     out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
     dark_h = detect_vacuum(out, "a2")
     assert list(dark_h.kept_state.terms) == [pol_ket(("a3", V), ("b1", H), ("c1", V)),
@@ -183,7 +186,7 @@ def test_elements_after_a_pbs_find_its_photons(partial_pol_w3):
         [0.6 * math.sqrt(0.5), 0.8 * math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)], abs=1e-15)
     assert pol_ket(("a5", H), ("b1", V), ("c1", V)) in split.terms
     assert detect_vacuum(split, "a3").probability == pytest.approx(0.5, abs=1e-12)
-    # a VBS minting a1, the label the PBS consumed, stores its photons anew
+    # a VBS minting a1, the label the PBS consumed
     reused = VbsSetting("a2", "a1", "a9", 0.36)
     outcome = _outcome(apply_vbs, out, reused)
     assert not isinstance(outcome, type)
@@ -191,7 +194,7 @@ def test_elements_after_a_pbs_find_its_photons(partial_pol_w3):
 
 
 def test_counting_routed_terms_builds_no_ket(partial_pol_w3):
-    # a route only renames photons, so the term count needs no physical ket
+    # the term count is the count of differences: it needs no physical ket
     out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
     assert len(out.terms) == 3
     assert out._terms is None
@@ -216,7 +219,8 @@ def test_repr_of_a_routed_state_names_the_physical_kets(partial_pol_w3):
 
 def test_elements_hash_no_ket(monkeypatch):
     # A VBS or a detector copies its input's columns and splices only the
-    # terms it changes, and a PBS shares them, so no element hashes a ket.
+    # terms it changes, and a PBS rewrites only the differences that name a
+    # port, so no element hashes a ket.
     # Reading the physical terms does, once per ket.
     parties = [f"p{i}" for i in range(32)]
     amp = 1 / math.sqrt(len(parties))
@@ -240,16 +244,17 @@ def test_elements_hash_no_ket(monkeypatch):
     assert len(list(merged.terms)) == len(calls) - 32 == 32
 
 
-def test_a_pbs_writes_no_route_but_its_own(partial_pol_w3):
-    # a PBS extends a copy of its input's route; the constructor gives every
-    # state a route of its own, so a write that skipped the copy could reach
-    # no other state
-    other = PureState(dict(partial_pol_w3.terms))
-    routes = [partial_pol_w3._route, other._route]
-    before = copy.deepcopy(routes)
-    out = apply_pbs(partial_pol_w3, PbsWiring("a1", None, "a2", "a3"))
-    assert routes == before
-    assert len({id(route) for route in routes + [out._route]}) == 3
+def test_a_pbs_writes_no_reference_but_its_own(partial_pol_w3):
+    # a PBS moves the reference's photons in a copy of its input's reference;
+    # a detector hands its input's reference on, so a write that skipped the
+    # copy would reach the detector's input and output both
+    state = PureState(dict(partial_pol_w3.terms), modes={"a1", "b1", "c1", "z9"})
+    kept = detect_vacuum(state, "z9").kept_state
+    assert kept._ref is state._ref
+    before = copy.deepcopy(state._ref)
+    out = apply_pbs(kept, PbsWiring("a1", None, "a2", "a3"))
+    assert state._ref == before == {"a1": V, "b1": V, "c1": V}
+    assert out._ref == {"a3": V, "b1": V, "c1": V}
 
 
 @pytest.mark.parametrize("in_a, in_b", [("zz", None), ("a1", "zz")])
@@ -358,14 +363,16 @@ def pbs_cases(draw, tags=(H, V)):
 # Elements derive their output from the validated input state; the references
 # build theirs through the public constructor, which checks every term.
 def _outcome(element, state, wiring):
-    """Output terms in order, registry, squared norm (exact) and the derived
-    facts, or the type of the error raised."""
+    """Output terms in order, registry, squared norm (exact), the derived
+    facts and whether each difference is canonical, or the type of the error
+    raised."""
     try:
         out = element(state, wiring)
     except ValueError as exc:
         return type(exc)
     terms = list(out.terms.items())
-    return terms, out.modes, norm_squared(out), out.photon_count, out.uses_polarization
+    return (terms, out.modes, norm_squared(out), out.photon_count, out.uses_polarization,
+            canonical(out))
 
 
 @given(pbs_cases())
@@ -463,6 +470,49 @@ def chain_steps(draw, state):
     return apply_pbs, PbsWiring(*labels), _route_every_photon
 
 
+def _referenced_states():
+    """States whose reference holds modes the elements act on."""
+    kets = [pol_ket(("b1", H), ("c1", V)), pol_ket(("a1", V), ("b1", V)),
+            pol_ket(("a1", V), ("c1", H))]
+    # a1's V and b1's H are each held by two of three kets, and the one ket
+    # holding both, the one a z1 detector drops, would send both to one output
+    # of PbsWiring("a1", "b1", ...); the kept terms do not
+    crossed = PureState({pol_ket(("a1", V), ("b1", H), ("z1", V)): 0.6,
+                         pol_ket(("a1", V), ("b1", V), ("y1", V)): 0.48,
+                         pol_ket(("a1", H), ("b1", H), ("y1", V)): 0.64})
+    return {
+        "first-ket-minority": PureState(dict(zip(kets, (0.6, -0.48, 0.64j)))),
+        "one-term": PureState({pol_ket(("a1", H), ("b1", V)): 0.6}, modes={"a1", "b1", "c1"}),
+        "one-untagged-term": PureState({single("a1"): 1.0}, modes={"a1", "b1"}),
+        "crossed": detect_vacuum(crossed, "z1").kept_state,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_referenced_states()))
+def test_elements_on_reference_modes_match_the_references(name):
+    # every element on every registered mode, most of them held by the
+    # reference: a VBS or a detector drops the mode from it, a PBS moves its
+    # photons, or checks each term's when the reference's own would collide
+    state = _referenced_states()[name]
+    assert state._ref
+    for mode in sorted(state.modes):
+        setting = VbsSetting(mode, "n0", "n1", 0.36)
+        assert _outcome(apply_vbs, state, setting) == _outcome(_split_every_ket, state, setting)
+        assert _outcome(_kept_state, state, mode) == _outcome(_keep_dark_terms, state, mode)
+        for other in [None, *sorted(state.modes - {mode})] if state.uses_polarization else ():
+            wiring = PbsWiring(mode, other, "n0", "n1")
+            assert (_outcome(apply_pbs, state, wiring)
+                    == _outcome(_route_every_photon, state, wiring))
+
+
+def test_a_pbs_checks_each_term_when_the_reference_would_collide():
+    state = _referenced_states()["crossed"]
+    assert state._ref == {"a1": V, "b1": H, "y1": V}
+    out = apply_pbs(state, PbsWiring("a1", "b1", "c1", "d1"))
+    assert out.terms == {pol_ket(("d1", V), ("c1", V), ("y1", V)): 0.48,
+                         pol_ket(("c1", H), ("d1", H), ("y1", V)): 0.64}
+
+
 def _snapshot(state):
     """Terms in order, registry and squared norm (exact)."""
     return list(state.terms.items()), state.modes, norm_squared(state)
@@ -471,13 +521,13 @@ def _snapshot(state):
 @settings(max_examples=300)
 @given(pbs_cases(), st.integers(2, 6), st.data())
 def test_chained_elements_match_references(case, length, data):
-    # Every state carries a route, which a PBS extends and the next elements
-    # read; the references rebuild every ket from the previous output's
+    # Every state carries a reference, which a PBS moves and the next elements
+    # read; the reference models rebuild every ket from the previous output's
     # public terms. Each step must agree on the terms in order, the registry,
-    # the norm bits and the error, so a stale or aliased route shows, also
-    # when an output reuses a consumed label. An element never changes its
-    # input: the input reads the same after it ran, and the element run
-    # again on it gives the next step's state.
+    # the norm bits, canonical differences and the error, so a stale or
+    # aliased reference shows, also when an output reuses a consumed label.
+    # An element never changes its input: the input reads the same after it
+    # ran, and the element run again on it gives the next step's state.
     state, _ = case
     for _ in range(length):
         element, setting, reference = data.draw(chain_steps(state))

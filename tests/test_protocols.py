@@ -24,6 +24,7 @@ from wecp.state import (
     DEFAULT_PRUNE_EPS,
     Ket,
     Polarization,
+    PureState,
     fidelity,
     norm_squared,
 )
@@ -145,6 +146,17 @@ def test_builders_match_kets_built_photon_by_photon():
                     assert hash(ket) == hash(ref)
 
 
+def test_built_and_constructed_polarization_states_share_a_reference():
+    # the builder stores its all-V reference directly; the constructor picks
+    # the same one from N >= 3 kets, so fidelity compares their differences
+    c = coeffs(0.4, 0.3, 0.2, 0.1, phases=(0.3, -1.0, 2.0, 0.5))
+    built = w_state_polarization(c)
+    rebuilt = PureState(dict(built.terms), modes=built.modes)
+    assert built._ref == rebuilt._ref == dict.fromkeys(built.modes, Polarization.V)
+    assert fidelity(built, rebuilt) == fidelity(rebuilt, built) == fidelity(rebuilt, rebuilt)
+    assert fidelity(built, rebuilt) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_party_labels_deterministic():
     assert default_party_labels(3) == ("a1", "b1", "c1")
     labels = default_party_labels(30)
@@ -170,6 +182,17 @@ def test_plan_equal_coefficients_is_empty():
 def test_plan_skips_ties_with_minimum():
     plan = run_single_photon_ecp(coeffs(0.5, 0.25, 0.25))
     assert [s.party for s in plan.steps] == [0]
+
+
+def test_plan_steps_every_party_above_the_minimum():
+    # 0.25 * (1 +- 2e-13): the middle party sits a few hundred ulps above the
+    # minimum, so it takes a step of its own, and both circuits then hit the
+    # closed form exactly
+    c = coeffs(0.5, 0.25 * (1 + 2e-13), 0.25 * (1 - 2e-13))
+    for driver in (run_single_photon_ecp, run_polarization_ecp):
+        report = driver(c)
+        assert [s.party for s in report.steps] == [0, 1]
+        assert abs(report.total_prob - analytic_total_probability(c)) == 0.0
 
 
 @given(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))

@@ -14,11 +14,15 @@ from wecp.state import (
     PureState,
     ZeroState,
     _columns,
+    _difference,
     _prune,
+    _unref,
     fidelity,
     fresh_label,
     norm_squared,
 )
+
+from conftest import canonical
 
 H = Polarization.H
 V = Polarization.V
@@ -291,6 +295,65 @@ def test_photon_count_and_convention_come_from_kept_terms(terms, modes, kept):
         want.modes, norm_squared(want), want.photon_count, want.uses_polarization)
 
 
+# --- reference and differences --------------------------------------------
+
+REFERENCE_CASES = [
+    pytest.param({Ket((("a1", H), ("b1", V))): 0.6, Ket((("a1", V), ("b1", H))): 0.8j},
+                 {}, id="no-majority"),
+    # a1's V is held by two of three kets; the first lacks that photon
+    pytest.param({Ket((("b1", H), ("c1", V))): 0.6, Ket((("a1", V), ("b1", V))): -0.48,
+                  Ket((("a1", V), ("c1", H))): 0.64j}, {"a1": V}, id="first-ket-minority"),
+    pytest.param({Ket((("a1", H), ("b1", V))): 0.6}, {"a1": H, "b1": V}, id="one-term"),
+    pytest.param({single("a1"): 1.0}, {"a1": NONE}, id="one-untagged-term"),
+    pytest.param({single("a1"): 0.6, single("b1"): 0.8}, {}, id="single-photon"),
+]
+
+
+@pytest.mark.parametrize("terms, ref", REFERENCE_CASES)
+def test_reference_holds_each_mode_majority_tag(terms, ref):
+    # the reference sets only how terms are stored: the physical terms, their
+    # hashes, the derived facts and a copy read as the input's
+    state = PureState(terms)
+    assert state._ref == ref
+    assert canonical(state)
+    assert list(state.terms.items()) == list(terms.items())
+    assert [hash(ket) for ket in state.terms] == [hash(ket) for ket in terms]
+    first = next(iter(terms))
+    assert state.photon_count == len(first.photons)
+    assert state.uses_polarization == (first.polarization_at(first.modes[0]) is not NONE)
+    for clone in (copy.copy(state), pickle.loads(pickle.dumps(state))):
+        assert clone == state and clone._ref == ref
+
+
+def test_differences_are_the_kets_under_a_vacuum_reference():
+    # a single-photon W state keeps its kets as they came
+    terms = {single("a1"): 0.6, single("b1"): 0.8}
+    assert PureState(terms)._diffs == list(terms)
+
+
+def _full_ket_fidelity(a, b):
+    """|<a|b>|^2 / (|a|^2 |b|^2) over the physical terms, as ``fidelity`` sums it."""
+    tb = dict(b.terms)
+    products = [x.conjugate() * tb[k] for k, x in a.terms.items() if k in tb]
+    overlap = complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+    return min(max(abs(overlap) ** 2 / (norm_squared(a) * norm_squared(b)), 0.0), 1.0)
+
+
+def test_fidelity_across_references_matches_the_full_ket_overlap():
+    # the same kets stored over {a1: V} and over the vacuum: their
+    # differences differ, so fidelity must compare the physical kets
+    kets = list(REFERENCE_CASES[1].values[0])
+    a = PureState(dict(zip(kets, (0.6, -0.48, 0.64j))))
+    b = PureState(dict(zip(kets, (0.3, 0.4j, -0.5))))
+    apart = _unref(b, ["a1"])
+    assert a._ref == b._ref == {"a1": V} and apart._ref == {}
+    assert apart == b
+    expected = _full_ket_fidelity(a, b)
+    assert 0.0 < expected < 1.0
+    assert fidelity(a, apart) == fidelity(apart, a) == fidelity(a, b) == expected
+    assert fidelity(apart, b) == fidelity(b, b)
+
+
 # --- derivation from a validated parent ----------------------------------
 
 PARENT_MODES = ("m0", "m1", "m2", "m3", "m4")
@@ -374,8 +437,15 @@ def test_derivation_matches_public_constructor(case):
     # amplitude, wherever it sits
     parent, terms, modes = case
     reference = _state_or_error(lambda: PureState(dict(terms), modes=modes))
-    assert _state_or_error(
-        lambda: _columns(parent, *_prune(dict(terms).items()), frozenset(modes))) == reference
+
+    def derived():
+        # the element's columns: each kept ket as its difference from the
+        # parent's reference
+        kets, amps, squares = _prune(dict(terms).items())
+        diffs = [_difference(parent._ref, ket._pol) for ket in kets]
+        return _columns(parent._ref, diffs, amps, squares, frozenset(modes))
+
+    assert _state_or_error(derived) == reference
 
 
 def test_constructor_hashes_each_ket_once(monkeypatch):
